@@ -47,6 +47,7 @@ from .double import (
     induced_single,
     iteration_matrix,
     make_pds,
+    sign_residuals,
 )
 from .errors import (
     DecompositionFailure,
@@ -72,7 +73,6 @@ from .splitting import (
     check_semimonotone_equivalence,
     classify_single,
     make_proper_splitting,
-    subspace_residuals,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +100,6 @@ __all__ = [
     # splittings
     "SplittingClass",
     "ProperSplitting",
-    "subspace_residuals",
     "make_proper_splitting",
     "classify_single",
     "ProjectorIdentityReport",
@@ -110,6 +109,7 @@ __all__ = [
     "DoubleSplittingClass",
     "ProperDoubleSplitting",
     "make_pds",
+    "sign_residuals",
     "classify_double",
     "companion_from_blocks",
     "iteration_matrix",

@@ -9,8 +9,9 @@ Subcommands
               double splittings of one matrix
 
 Exit codes: 0 report produced (verdicts may still be negative), 2 unreadable
-or malformed input, 3 numerical failure, 4 invalid splitting (decomposition
-or subspace mismatch, or square-corollary mode on a singular matrix).
+or malformed input, an out-of-range tolerance flag or an unwritable ``--out``
+path, 3 numerical failure, 4 invalid splitting (decomposition or subspace
+mismatch, or square-corollary mode on a singular matrix).
 
 Output is text by default; ``--format json`` emits one JSON document with the
 same numeric values.  All tolerances are flag-overridable so a report is
@@ -34,7 +35,7 @@ from .core import (
     penrose_residuals,
     pinv,
 )
-from .double import check_convergence, classify_double, make_pds
+from .double import check_convergence, make_pds
 from .errors import (
     DecompositionFailure,
     DecompositionMismatchError,
@@ -222,13 +223,11 @@ def cmd_classify(args, cfg):
     if len(args.files) != 4:
         raise MatrixFormatError("classify double needs exactly four files: A P R S")
     a, p, r, s_ = (read_matrix(f) for f in args.files)
-    d = make_pds(a, p, r, s_, cfg)
-    tag = classify_double(d, cfg)
-    conv = check_convergence(d, cfg)
+    conv = check_convergence(make_pds(a, p, r, s_, cfg), cfg)
     doc = {
         "command": "classify",
         "kind": "double",
-        "class": tag.value,
+        "class": conv.splitting_class.value,
         "rho_w": conv.rho_w,
         "rho_induced": conv.rho_induced,
         "semi_monotone": conv.semi_monotone,
@@ -238,7 +237,7 @@ def cmd_classify(args, cfg):
     }
     lines = [
         "proper double splitting: valid",
-        _class_line(tag.value),
+        _class_line(conv.splitting_class.value),
         f"rho(W) = {_num(conv.rho_w)}",
         f"rho(P^+(R-S)) = {_num(conv.rho_induced)}",
         f"semi-monotone (A^+ >= 0): {conv.semi_monotone}",
@@ -377,9 +376,14 @@ def _emit(args, doc, text, inputs) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from(args)
+    try:
+        cfg = _config_from(args)
+    except ValueError as exc:  # a tolerance flag out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         doc, text, inputs = _COMMANDS[args.command](args, cfg)
+        _emit(args, doc, text, inputs)
     except (MatrixFormatError, NonFiniteError, ShapeMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -394,7 +398,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPLITTING
-    _emit(args, doc, text, inputs)
     return EXIT_OK
 
 

@@ -26,10 +26,9 @@ from .core import (
     has_zero_row,
     matrix_rank,
     max_abs_diff,
-    pinv,
     spectral_radius,
 )
-from .double import ProperDoubleSplitting, companion_from_blocks
+from .double import ProperDoubleSplitting, companion_from_blocks, sign_residuals
 from .errors import DifferentAError, NotInvertibleError
 
 __all__ = [
@@ -84,35 +83,16 @@ class ComparisonReport:
     notes: tuple[str, ...] = field(default=())
 
 
+def _verdict(label: str, residual: float, cfg: ToleranceConfig) -> HypothesisVerdict:
+    return HypothesisVerdict(label, residual <= cfg.nonneg_slack, residual)
+
+
 def _nonneg_verdict(label: str, m, cfg: ToleranceConfig) -> HypothesisVerdict:
-    violation = max(0.0, -float(np.min(m)))
-    return HypothesisVerdict(label, violation <= cfg.nonneg_slack, violation)
+    return _verdict(label, max(0.0, -float(np.min(m))), cfg)
 
 
 def _geq_verdict(label: str, x, y, cfg: ToleranceConfig) -> HypothesisVerdict:
     return _nonneg_verdict(label, np.asarray(x) - np.asarray(y), cfg)
-
-
-def _regular_verdict(label, p_inv, r, s, cfg) -> HypothesisVerdict:
-    parts = [
-        _nonneg_verdict("", p_inv, cfg),
-        _nonneg_verdict("", r, cfg),
-        _nonneg_verdict("", -s, cfg),
-    ]
-    return HypothesisVerdict(label, all(v.passed for v in parts), max(v.residual for v in parts))
-
-
-def _weak_regular_verdict(label, p_inv, r, s, cfg) -> HypothesisVerdict:
-    parts = [
-        _nonneg_verdict("", p_inv, cfg),
-        _nonneg_verdict("", p_inv @ r, cfg),
-        _nonneg_verdict("", -(p_inv @ s), cfg),
-    ]
-    return HypothesisVerdict(label, all(v.passed for v in parts), max(v.residual for v in parts))
-
-
-def _inverse(a, cfg: ToleranceConfig) -> np.ndarray:
-    return np.linalg.inv(a)
 
 
 def _require_invertible(a, cfg: ToleranceConfig) -> None:
@@ -137,21 +117,20 @@ def _compare(
     if square_corollary:
         _require_invertible(a, cfg)
         notes.append("square corollary mode: A is invertible, classical inverse used")
-        ginv = _inverse
+        a_inv, p1_inv, p2_inv = (np.linalg.inv(x) for x in (a, d1.p, d2.p))
     else:
-        ginv = pinv
-
-    p1_inv = ginv(d1.p, cfg)
-    p2_inv = ginv(d2.p, cfg)
-    a_inv = ginv(a, cfg)
+        a_inv, p1_inv = d1.pinvs(cfg)
+        p2_inv = d2.pinvs(cfg)[1]
+    regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s)
+    regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s)
 
     verdicts: list[HypothesisVerdict] = []
     verdicts.append(_nonneg_verdict("A^+ >= 0", a_inv, cfg))
 
     if theorem is TheoremId.REGULAR_VS_WEAK:
-        verdicts.append(_regular_verdict("splitting 1 regular", p1_inv, d1.r, d1.s, cfg))
+        verdicts.append(_verdict("splitting 1 regular", regular1, cfg))
         verdicts.append(_nonneg_verdict("P1 P1^+ >= 0", d1.p @ p1_inv, cfg))
-        verdicts.append(_weak_regular_verdict("splitting 2 weak regular", p2_inv, d2.r, d2.s, cfg))
+        verdicts.append(_verdict("splitting 2 weak regular", weak2, cfg))
         verdicts.append(_geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg))
     elif theorem is TheoremId.WEAK_VS_REGULAR:
         e = np.ones(a.shape[0])
@@ -163,8 +142,8 @@ def _compare(
                 e_residual,
             )
         )
-        verdicts.append(_weak_regular_verdict("splitting 1 weak regular", p1_inv, d1.r, d1.s, cfg))
-        verdicts.append(_regular_verdict("splitting 2 regular", p2_inv, d2.r, d2.s, cfg))
+        verdicts.append(_verdict("splitting 1 weak regular", weak1, cfg))
+        verdicts.append(_verdict("splitting 2 regular", regular2, cfg))
         smallest_row_max = float(np.min(np.max(np.abs(p2_inv), axis=1)))
         verdicts.append(
             HypothesisVerdict(
@@ -176,8 +155,8 @@ def _compare(
         verdicts.append(_nonneg_verdict("P2 P2^+ >= 0", d2.p @ p2_inv, cfg))
         verdicts.append(_geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg))
     else:  # WEAK_VS_WEAK
-        verdicts.append(_weak_regular_verdict("splitting 1 weak regular", p1_inv, d1.r, d1.s, cfg))
-        verdicts.append(_weak_regular_verdict("splitting 2 weak regular", p2_inv, d2.r, d2.s, cfg))
+        verdicts.append(_verdict("splitting 1 weak regular", weak1, cfg))
+        verdicts.append(_verdict("splitting 2 weak regular", weak2, cfg))
         verdicts.append(_geq_verdict("P1^+ A >= P2^+ A", p1_inv @ a, p2_inv @ a, cfg))
 
     branch_i = _geq_verdict("P1^+ R1 >= P2^+ R2", p1_inv @ d1.r, p2_inv @ d2.r, cfg)

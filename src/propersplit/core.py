@@ -63,7 +63,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("nonneg_slack", "eq_abs_tol", "spectral_tol", "solve_tol"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # also rejects NaN
                 raise ValueError(f"{name} must be >= 0")
         if self.rank_rel_cutoff is not None and not 0.0 < self.rank_rel_cutoff < 1.0:
             raise ValueError("rank_rel_cutoff must lie in (0, 1)")

@@ -115,10 +115,10 @@ def solve_single(
     m, n = s.a.shape
     b = as_vector(b, length=m)
     x = np.zeros(n) if x0 is None else as_vector(x0, length=n)
-    u_pinv = pinv(s.u, cfg)
+    a_pinv, u_pinv = s.pinvs(cfg)
     h = u_pinv @ s.v
     c = u_pinv @ b
-    reference = pinv(s.a, cfg) @ b
+    reference = a_pinv @ b
     x0_flag = _in_nullspace(s.v, x, cfg)
 
     iterates = [x.copy()]
@@ -152,11 +152,11 @@ def solve_double(
     b = as_vector(b, length=m)
     x_prev = np.zeros(n) if x0 is None else as_vector(x0, length=n)
     x_curr = np.zeros(n) if x1 is None else as_vector(x1, length=n)
-    p_pinv = pinv(d.p, cfg)
+    a_pinv, p_pinv = d.pinvs(cfg)
     pr = p_pinv @ d.r
     ps = p_pinv @ d.s
     pb = p_pinv @ b
-    reference = pinv(d.a, cfg) @ b
+    reference = a_pinv @ b
     x0_flag = _in_nullspace(d.r - d.s, x_prev, cfg)
 
     iterates = [x_prev.copy(), x_curr.copy()]

@@ -9,13 +9,14 @@ convergence theory.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _rank_cutoff,
     as_matrix,
     is_nonneg,
     max_abs_diff,
@@ -27,7 +28,6 @@ from .errors import HypothesisUnmetError, NotProperError, ShapeMismatchError
 __all__ = [
     "SplittingClass",
     "ProperSplitting",
-    "subspace_residuals",
     "make_proper_splitting",
     "classify_single",
     "ProjectorIdentityReport",
@@ -50,21 +50,22 @@ class ProperSplitting:
     a: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    _pinv_memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(A^+, U^+)``, computed once per effective rank cutoff."""
+        # read-only, because every consumer of the splitting shares them
+        key = _rank_cutoff(self.a.shape, cfg)
+        if key not in self._pinv_memo:
+            pair = tuple(as_matrix(pinv(m, cfg), readonly=True) for m in (self.a, self.u))
+            self._pinv_memo[key] = pair
+        return self._pinv_memo[key]
 
 
-def subspace_residuals(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float]:
-    """Entrywise gaps between the projector pairs of a and u.
-
-    Returns ``(|A A^+ - U U^+|, |A^+ A - U^+ U|)``; the first measures the
-    column-space condition, the second the null-space condition.
-    """
-    a = as_matrix(a)
-    u = as_matrix(u)
-    a_pinv = pinv(a, cfg)
-    u_pinv = pinv(u, cfg)
-    range_res = max_abs_diff(a @ a_pinv, u @ u_pinv)
-    rowspace_res = max_abs_diff(a_pinv @ a, u_pinv @ u)
-    return range_res, rowspace_res
+def _require_proper(s: ProperSplitting, cfg: ToleranceConfig) -> None:
+    rep = check_projector_identities(s, cfg)
+    if not rep.passed:
+        raise NotProperError(rep.range_residual, rep.rowspace_residual, cfg.eq_abs_tol)
 
 
 def make_proper_splitting(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperSplitting:
@@ -73,16 +74,14 @@ def make_proper_splitting(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Pr
     u = as_matrix(u, readonly=True)
     if a.shape != u.shape:
         raise ShapeMismatchError(f"A has shape {a.shape} but U has shape {u.shape}")
-    range_res, nullspace_res = subspace_residuals(a, u, cfg)
-    if range_res > cfg.eq_abs_tol or nullspace_res > cfg.eq_abs_tol:
-        raise NotProperError(range_res, nullspace_res, cfg.eq_abs_tol)
-    v = as_matrix(u - a, readonly=True)
-    return ProperSplitting(a, u, v)
+    s = ProperSplitting(a, u, as_matrix(u - a, readonly=True))
+    _require_proper(s, cfg)
+    return s
 
 
 def classify_single(s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SplittingClass:
     """Strongest applicable tag from the sign tests on U^+, V and U^+ V."""
-    u_pinv = pinv(s.u, cfg)
+    u_pinv = s.pinvs(cfg)[1]
     if is_nonneg(u_pinv, cfg):
         if is_nonneg(s.v, cfg):
             return SplittingClass.PROPER_REGULAR
@@ -103,7 +102,9 @@ class ProjectorIdentityReport:
 def check_projector_identities(
     s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ProjectorIdentityReport:
-    range_res, rowspace_res = subspace_residuals(s.a, s.u, cfg)
+    a_pinv, u_pinv = s.pinvs(cfg)
+    range_res = max_abs_diff(s.a @ a_pinv, s.u @ u_pinv)
+    rowspace_res = max_abs_diff(a_pinv @ s.a, u_pinv @ s.u)
     passed = range_res <= cfg.eq_abs_tol and rowspace_res <= cfg.eq_abs_tol
     return ProjectorIdentityReport(range_res, rowspace_res, passed)
 
@@ -132,10 +133,10 @@ def check_semimonotone_equivalence(
         raise HypothesisUnmetError(
             "three-way equivalence requires a proper weak regular splitting"
         )
-    a_pinv = pinv(s.a, cfg)
+    a_pinv, u_pinv = s.pinvs(cfg)
     cond_semi = is_nonneg(a_pinv, cfg)
     cond_av = is_nonneg(a_pinv @ s.v, cfg)
-    rho = spectral_radius(pinv(s.u, cfg) @ s.v, cfg)
+    rho = spectral_radius(u_pinv @ s.v, cfg)
     cond_rho = rho < 1.0
     agree = cond_semi == cond_av == cond_rho
     return SemimonotoneEquivalenceReport(cond_semi, cond_av, rho, cond_rho, agree)

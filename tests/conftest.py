@@ -19,6 +19,27 @@ def cfg():
     return DEFAULT_TOLERANCES
 
 
+@pytest.fixture
+def count_svds(monkeypatch):
+    """``count_svds(thunk)`` runs thunk and returns how many times it called
+    ``np.linalg.svd``, the one factorization behind every pseudoinverse."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+
+    def count(thunk) -> int:
+        before = len(calls)
+        thunk()
+        return len(calls) - before
+
+    return count
+
+
 class Example1:
     """2x3 rank-2 matrix with one regular and one weak regular double splitting."""
 

@@ -274,3 +274,17 @@ class TestOutputOptions:
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["iterations_used"] == 5 and doc["converged"] is False
+
+    @pytest.mark.parametrize(
+        "flag", [["--max-iter", "0"], ["--tol-eq", "-1"], ["--tol-eq", "nan"]]
+    )
+    def test_out_of_range_tolerance_flag_exit_2(self, ex1_files, flag, capsys):
+        assert main(["pinv", ex1_files["a"], *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_out_path_exit_2(self, ex1_files, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        assert main(["pinv", ex1_files["a"], "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -195,3 +195,9 @@ class TestReportMechanics:
                 assert rep.conclusion_predicted
                 assert rep.rho1 <= rep.rho2 + 1e-8
                 assert rep.rho2 < 1.0
+
+    def test_no_factorization_after_construction(self, count_svds):
+        rng = default_rng(56)
+        for theorem in TheoremId:
+            d1, d2 = comparison_pair(rng, theorem, 4, 5, 2)
+            assert count_svds(lambda: compare(theorem, d1, d2)) == 0

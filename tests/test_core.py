@@ -52,8 +52,9 @@ class TestValidation:
             ToleranceConfig(rank_rel_cutoff=1.5)
 
     def test_tolerance_config_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(solve_tol=-1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ToleranceConfig(solve_tol=bad)
 
 
 class TestPinv:

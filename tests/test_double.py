@@ -5,14 +5,21 @@ import pytest
 from numpy.random import default_rng
 
 from propersplit import (
+    ConvergenceReport,
     DecompositionMismatchError,
     DoubleSplittingClass,
+    ToleranceConfig,
     check_convergence,
     classify_double,
+    classify_single,
     companion_from_blocks,
     induced_single,
+    is_nonneg,
     iteration_matrix,
     make_pds,
+    pinv,
+    solve_double,
+    solve_single,
     spectral_radius,
 )
 from propersplit.generators import nonneg_block_pair, weak_regular_double
@@ -147,3 +154,47 @@ class TestCheckConvergence:
             b, c = nonneg_block_pair(rng, n, rho=float(rng.uniform(0.1, 0.99)))
             w = companion_from_blocks(b, -c)
             assert spectral_radius(w) < 1.0 + 1e-10
+
+
+class TestOwnedPseudoinverses:
+    def test_pipeline_factors_each_operand_once(self, count_svds):
+        rng = default_rng(16)
+        g = weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3)
+        b = rng.uniform(0.5, 1.5, 6)
+
+        def pipeline():
+            d = make_pds(g.a, g.p, g.r, g.s)
+            check_convergence(d)
+            solve_double(d, b)
+            s = induced_single(d)
+            classify_single(s)
+            solve_single(s, b)
+
+        # one SVD for A^+, one for P^+, both during make_pds
+        assert count_svds(pipeline) == 2
+
+    def test_other_cutoff_recomputes_under_that_cutoff(self):
+        # P's second singular value is 1e-5 of its first: the default cutoff
+        # keeps it, a relative cutoff of 1e-3 drops it
+        p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
+        r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
+        s = np.zeros((3, 2))
+        d = make_pds(p - r + s, p, r, s)
+        default = check_convergence(d)
+
+        cfg = ToleranceConfig(rank_rel_cutoff=1e-3)
+        p_pinv = pinv(d.p, cfg)
+        w = companion_from_blocks(p_pinv @ d.r, p_pinv @ d.s)
+        expected = ConvergenceReport(
+            splitting_class=DoubleSplittingClass.REGULAR,
+            rho_w=spectral_radius(w, cfg),
+            rho_induced=spectral_radius(p_pinv @ (d.r - d.s), cfg),
+            semi_monotone=is_nonneg(pinv(d.a, cfg), cfg),
+            biconditional_agrees=True,
+            guaranteed_convergent=True,
+            converges=True,
+        )
+        assert check_convergence(d, cfg) == expected
+        assert np.array_equal(iteration_matrix(d, cfg), w)
+        assert expected.rho_w != default.rho_w
+        assert check_convergence(d) == default  # the construction-time pair is kept
