@@ -14,7 +14,8 @@ path, 3 numerical failure, 4 invalid splitting (decomposition or subspace
 mismatch, or square-corollary mode on a singular matrix).
 
 Output is text by default; ``--format json`` emits one JSON document with the
-same numeric values.  All tolerances are flag-overridable so a report is
+same numeric values.  The text report is rendered from the same document
+``--format json`` prints.  All tolerances are flag-overridable so a report is
 reproducible from the command line alone.
 """
 
@@ -87,11 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     common.add_argument("--echo-inputs", action="store_true", help="include input matrices in JSON output")
-    common.add_argument("--tol-nonneg", type=float, metavar="T", help="entrywise nonnegativity slack")
-    common.add_argument("--tol-eq", type=float, metavar="T", help="matrix equality tolerance")
-    common.add_argument("--tol-spectral", type=float, metavar="T", help="spectral radius tolerance")
-    common.add_argument("--tol-solve", type=float, metavar="T", help="solver step tolerance")
-    common.add_argument("--max-iter", type=int, metavar="N", help="iteration cap")
+    # each dest is the ToleranceConfig field the flag overrides
+    common.add_argument("--tol-nonneg", dest="nonneg_slack", type=float, metavar="T", help="entrywise nonnegativity slack")
+    common.add_argument("--tol-eq", dest="eq_abs_tol", type=float, metavar="T", help="matrix equality tolerance")
+    common.add_argument("--tol-spectral", dest="spectral_tol", type=float, metavar="T", help="spectral radius tolerance")
+    common.add_argument("--tol-solve", dest="solve_tol", type=float, metavar="T", help="solver step tolerance")
+    common.add_argument("--max-iter", dest="max_iter", type=int, metavar="N", help="iteration cap")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -121,18 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> ToleranceConfig:
-    overrides = {}
-    if args.tol_nonneg is not None:
-        overrides["nonneg_slack"] = args.tol_nonneg
-    if args.tol_eq is not None:
-        overrides["eq_abs_tol"] = args.tol_eq
-    if args.tol_spectral is not None:
-        overrides["spectral_tol"] = args.tol_spectral
-    if args.tol_solve is not None:
-        overrides["solve_tol"] = args.tol_solve
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
+    fields = (f.name for f in dataclasses.fields(ToleranceConfig))
+    overrides = {name: getattr(args, name) for name in fields if getattr(args, name, None) is not None}
     return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
+
+
+def _read_files(args, names: str) -> dict[str, np.ndarray]:
+    """Read ``args.files`` as the named inputs; a lower-case name is a vector."""
+    names = names.split()
+    if len(args.files) != len(names):
+        raise MatrixFormatError(f"expected {len(names)} files ({' '.join(names)}), got {len(args.files)}")
+    return {
+        name: (read_vector if name.islower() else read_matrix)(path)
+        for name, path in zip(names, args.files)
+    }
 
 
 def cmd_pinv(args, cfg):
@@ -148,11 +152,14 @@ def cmd_pinv(args, cfg):
         "entries": _matrix_entries(x),
         "penrose_residuals": dict(zip(labels, (float(r) for r in res))),
     }
-    comments = [f"pinv of {args.matrix}"] + [
-        f"penrose residual {lab} = {_num(r)}" for lab, r in zip(labels, res)
+    return doc, {"A": a}
+
+
+def text_pinv(doc):
+    comments = [f"pinv of {doc['input']}"] + [
+        f"penrose residual {lab} = {_num(r)}" for lab, r in doc["penrose_residuals"].items()
     ]
-    text = format_matrix(x, comments=comments)
-    return doc, text, {"A": a}
+    yield from format_matrix(doc["entries"], comments=comments).splitlines()
 
 
 def cmd_spectrum(args, cfg):
@@ -167,25 +174,22 @@ def cmd_spectrum(args, cfg):
         if spectrum.dominant_vector is None
         else [float(x) for x in spectrum.dominant_vector],
     }
-    lines = [f"spectral radius: {_num(spectrum.spectral_radius)}", "eigenvalues:"]
-    for ev in spectrum.eigenvalues:
-        lines.append(f"  {_num(ev.real)} {'+' if ev.imag >= 0 else '-'} {_num(abs(ev.imag))}j")
-    if spectrum.dominant_vector is not None:
-        lines.append("dominant vector (unit max entry): " + " ".join(_num(x) for x in spectrum.dominant_vector))
-    return doc, "\n".join(lines) + "\n", {"M": m}
+    return doc, {"M": m}
 
 
-def _class_line(tag: str) -> str:
-    return f"class: {tag}"
+def text_spectrum(doc):
+    yield f"spectral radius: {_num(doc['spectral_radius'])}"
+    yield "eigenvalues:"
+    for re, im in doc["eigenvalues"]:
+        yield f"  {_num(re)} {'+' if im >= 0 else '-'} {_num(abs(im))}j"
+    if doc["dominant_vector"] is not None:
+        yield "dominant vector (unit max entry): " + " ".join(_num(x) for x in doc["dominant_vector"])
 
 
 def cmd_classify(args, cfg):
+    inputs = _read_files(args, "A U" if args.kind == "single" else "A P R S")
     if args.kind == "single":
-        if len(args.files) != 2:
-            raise MatrixFormatError("classify single needs exactly two files: A U")
-        a = read_matrix(args.files[0])
-        u = read_matrix(args.files[1])
-        s = make_proper_splitting(a, u, cfg)
+        s = make_proper_splitting(*inputs.values(), cfg)
         tag = classify_single(s, cfg)
         proj = check_projector_identities(s, cfg)
         doc = {
@@ -196,11 +200,6 @@ def cmd_classify(args, cfg):
             "projector_rowspace_residual": proj.rowspace_residual,
             "projector_identities_pass": proj.passed,
         }
-        lines = [
-            "proper splitting: valid",
-            _class_line(tag.value),
-            f"projector identity residuals: range {_num(proj.range_residual)}, row space {_num(proj.rowspace_residual)}",
-        ]
         if tag is not SplittingClass.PROPER_ONLY:
             eq = check_semimonotone_equivalence(s, cfg)
             doc.update(
@@ -212,18 +211,9 @@ def cmd_classify(args, cfg):
                     "equivalence_agrees": eq.agree,
                 }
             )
-            lines.append(
-                "three-way equivalence: "
-                f"A^+>=0 {eq.a_pinv_nonneg}, A^+V>=0 {eq.a_pinv_v_nonneg}, "
-                f"rho(U^+V)={_num(eq.iteration_radius)} (<1: {eq.radius_below_one}), "
-                f"agree: {eq.agree}"
-            )
-        return doc, "\n".join(lines) + "\n", {"A": a, "U": u}
+        return doc, inputs
 
-    if len(args.files) != 4:
-        raise MatrixFormatError("classify double needs exactly four files: A P R S")
-    a, p, r, s_ = (read_matrix(f) for f in args.files)
-    conv = check_convergence(make_pds(a, p, r, s_, cfg), cfg)
+    conv = check_convergence(make_pds(*inputs.values(), cfg), cfg)
     doc = {
         "command": "classify",
         "kind": "double",
@@ -235,21 +225,49 @@ def cmd_classify(args, cfg):
         "guaranteed_convergent": conv.guaranteed_convergent,
         "converges": conv.converges,
     }
-    lines = [
-        "proper double splitting: valid",
-        _class_line(conv.splitting_class.value),
-        f"rho(W) = {_num(conv.rho_w)}",
-        f"rho(P^+(R-S)) = {_num(conv.rho_induced)}",
-        f"semi-monotone (A^+ >= 0): {conv.semi_monotone}",
-        f"rho(W)<1 iff rho(P^+(R-S))<1 agrees: {conv.biconditional_agrees}",
-        f"convergence guaranteed by hypotheses: {conv.guaranteed_convergent}",
-        f"converges (rho(W) < 1): {conv.converges}",
-    ]
-    return doc, "\n".join(lines) + "\n", {"A": a, "P": p, "R": r, "S": s_}
+    return doc, inputs
 
 
-def _trace_doc(trace, with_iterates: bool):
+def text_classify(doc):
+    if doc["kind"] == "single":
+        yield "proper splitting: valid"
+        yield f"class: {doc['class']}"
+        yield (
+            f"projector identity residuals: range {_num(doc['projector_range_residual'])}, "
+            f"row space {_num(doc['projector_rowspace_residual'])}"
+        )
+        if "equivalence_agrees" in doc:
+            yield (
+                "three-way equivalence: "
+                f"A^+>=0 {doc['a_pinv_nonneg']}, A^+V>=0 {doc['a_pinv_v_nonneg']}, "
+                f"rho(U^+V)={_num(doc['iteration_radius'])} (<1: {doc['radius_below_one']}), "
+                f"agree: {doc['equivalence_agrees']}"
+            )
+        return
+    yield "proper double splitting: valid"
+    yield f"class: {doc['class']}"
+    yield f"rho(W) = {_num(doc['rho_w'])}"
+    yield f"rho(P^+(R-S)) = {_num(doc['rho_induced'])}"
+    yield f"semi-monotone (A^+ >= 0): {doc['semi_monotone']}"
+    yield f"rho(W)<1 iff rho(P^+(R-S))<1 agrees: {doc['biconditional_agrees']}"
+    yield f"convergence guaranteed by hypotheses: {doc['guaranteed_convergent']}"
+    yield f"converges (rho(W) < 1): {doc['converges']}"
+
+
+def cmd_solve(args, cfg):
+    inputs = _read_files(args, "A U b" if args.kind == "single" else "A P R S b")
+    b = inputs.pop("b")
+    x0 = read_vector(args.x0) if args.x0 else None
+    if args.kind == "single":
+        if args.x1:
+            raise MatrixFormatError("--x1 applies to the double scheme only")
+        trace = solve_single(make_proper_splitting(*inputs.values(), cfg), b, x0=x0, cfg=cfg)
+    else:
+        x1 = read_vector(args.x1) if args.x1 else None
+        trace = solve_double(make_pds(*inputs.values(), cfg), b, x0=x0, x1=x1, cfg=cfg)
     doc = {
+        "command": "solve",
+        "kind": args.kind,
         "converged": trace.converged,
         "diverged": trace.diverged,
         "iterations_used": trace.iterations_used,
@@ -259,65 +277,32 @@ def _trace_doc(trace, with_iterates: bool):
         "reference_solution": [float(x) for x in trace.reference_solution],
         "x0_in_nullspace_v": trace.x0_in_nullspace_v,
     }
-    if with_iterates:
+    if args.trace:
         doc["iterates"] = [[float(x) for x in it] for it in trace.iterates]
-    return doc
+    return doc, inputs
 
 
-def _trace_text(trace, with_iterates: bool) -> str:
-    final_step = trace.residual_history[-1] if trace.residual_history else 0.0
-    lines = [
-        f"iterations: {trace.iterations_used}",
-        f"final step residual: {_num(final_step)}",
-        f"distance to A^+ b: {_num(trace.distance_to_reference)}",
-        f"converged: {trace.converged}",
-        f"diverged: {trace.diverged}",
-        f"x0 in nullspace of V: {trace.x0_in_nullspace_v}",
-        "limit: " + " ".join(_num(x) for x in trace.limit),
-        "reference A^+ b: " + " ".join(_num(x) for x in trace.reference_solution),
-    ]
-    if with_iterates:
-        lines.append("iterates:")
-        for k, it in enumerate(trace.iterates):
-            lines.append(f"  {k}: " + " ".join(_num(x) for x in it))
-    return "\n".join(lines) + "\n"
-
-
-def cmd_solve(args, cfg):
-    if args.kind == "single":
-        if len(args.files) != 3:
-            raise MatrixFormatError("solve single needs exactly three files: A U b")
-        a = read_matrix(args.files[0])
-        u = read_matrix(args.files[1])
-        b = read_vector(args.files[2])
-        x0 = read_vector(args.x0) if args.x0 else None
-        if args.x1:
-            raise MatrixFormatError("--x1 applies to the double scheme only")
-        s = make_proper_splitting(a, u, cfg)
-        trace = solve_single(s, b, x0=x0, cfg=cfg)
-        inputs = {"A": a, "U": u}
-    else:
-        if len(args.files) != 5:
-            raise MatrixFormatError("solve double needs exactly five files: A P R S b")
-        a, p, r, s_ = (read_matrix(f) for f in args.files[:4])
-        b = read_vector(args.files[4])
-        x0 = read_vector(args.x0) if args.x0 else None
-        x1 = read_vector(args.x1) if args.x1 else None
-        d = make_pds(a, p, r, s_, cfg)
-        trace = solve_double(d, b, x0=x0, x1=x1, cfg=cfg)
-        inputs = {"A": a, "P": p, "R": r, "S": s_}
-    doc = {"command": "solve", "kind": args.kind}
-    doc.update(_trace_doc(trace, args.trace))
-    return doc, _trace_text(trace, args.trace), inputs
+def text_solve(doc):
+    yield f"iterations: {doc['iterations_used']}"
+    yield f"final step residual: {_num(doc['final_step_residual'])}"
+    yield f"distance to A^+ b: {_num(doc['distance_to_reference'])}"
+    yield f"converged: {doc['converged']}"
+    yield f"diverged: {doc['diverged']}"
+    yield f"x0 in nullspace of V: {doc['x0_in_nullspace_v']}"
+    yield "limit: " + " ".join(_num(x) for x in doc["limit"])
+    yield "reference A^+ b: " + " ".join(_num(x) for x in doc["reference_solution"])
+    if "iterates" in doc:
+        yield "iterates:"
+        for k, it in enumerate(doc["iterates"]):
+            yield f"  {k}: " + " ".join(_num(x) for x in it)
 
 
 def cmd_compare(args, cfg):
-    theorem = _THEOREMS[args.theorem]
-    mats = [read_matrix(f) for f in args.files]
-    a, p1, r1, s1, p2, r2, s2 = mats
+    inputs = _read_files(args, "A P1 R1 S1 P2 R2 S2")
+    a, p1, r1, s1, p2, r2, s2 = inputs.values()
     d1 = make_pds(a, p1, r1, s1, cfg)
     d2 = make_pds(a, p2, r2, s2, cfg)
-    rep = compare(theorem, d1, d2, cfg, square_corollary=args.square_corollary)
+    rep = compare(_THEOREMS[args.theorem], d1, d2, cfg, square_corollary=args.square_corollary)
     doc = {
         "command": "compare",
         "theorem": rep.theorem_id.value,
@@ -333,40 +318,42 @@ def cmd_compare(args, cfg):
         "conclusion_observed": rep.conclusion_observed,
         "notes": list(rep.notes),
     }
-    lines = [f"theorem: {rep.theorem_id.value}"]
-    if rep.square_corollary:
-        lines.append("mode: square corollary (classical inverse)")
-    lines.append("hypotheses:")
-    for v in rep.hypothesis_verdicts:
-        mark = "pass" if v.passed else "FAIL"
-        lines.append(f"  [{mark}] {v.label} (residual {_num(v.residual)})")
-    lines.append(f"branch used: {rep.branch_used.value}")
-    lines.append(f"rho(W1) = {_num(rep.rho1)}")
-    lines.append(f"rho(W2) = {_num(rep.rho2)}")
-    lines.append(f"conclusion predicted: {rep.conclusion_predicted}")
-    lines.append(f"conclusion observed (rho1 <= rho2 and rho2 < 1): {rep.conclusion_observed}")
-    for note in rep.notes:
-        lines.append(f"note: {note}")
-    inputs = {"A": a, "P1": p1, "R1": r1, "S1": s1, "P2": p2, "R2": r2, "S2": s2}
-    return doc, "\n".join(lines) + "\n", inputs
+    return doc, inputs
 
 
+def text_compare(doc):
+    yield f"theorem: {doc['theorem']}"
+    if doc["square_corollary"]:
+        yield "mode: square corollary (classical inverse)"
+    yield "hypotheses:"
+    for h in doc["hypotheses"]:
+        yield f"  [{'pass' if h['passed'] else 'FAIL'}] {h['label']} (residual {_num(h['residual'])})"
+    yield f"branch used: {doc['branch_used']}"
+    yield f"rho(W1) = {_num(doc['rho1'])}"
+    yield f"rho(W2) = {_num(doc['rho2'])}"
+    yield f"conclusion predicted: {doc['conclusion_predicted']}"
+    yield f"conclusion observed (rho1 <= rho2 and rho2 < 1): {doc['conclusion_observed']}"
+    for note in doc["notes"]:
+        yield f"note: {note}"
+
+
+# subcommand -> (report builder, text lines rendered from its JSON document)
 _COMMANDS = {
-    "pinv": cmd_pinv,
-    "spectrum": cmd_spectrum,
-    "classify": cmd_classify,
-    "solve": cmd_solve,
-    "compare": cmd_compare,
+    "pinv": (cmd_pinv, text_pinv),
+    "spectrum": (cmd_spectrum, text_spectrum),
+    "classify": (cmd_classify, text_classify),
+    "solve": (cmd_solve, text_solve),
+    "compare": (cmd_compare, text_compare),
 }
 
 
-def _emit(args, doc, text, inputs) -> None:
+def _emit(args, doc, render, inputs) -> None:
     if args.format == "json":
         if args.echo_inputs:
             doc["inputs"] = {name: _matrix_entries(m) for name, m in inputs.items()}
         payload = json.dumps(doc, indent=2) + "\n"
     else:
-        payload = text
+        payload = "\n".join(render(doc)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -382,8 +369,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        doc, text, inputs = _COMMANDS[args.command](args, cfg)
-        _emit(args, doc, text, inputs)
+        build, render = _COMMANDS[args.command]
+        doc, inputs = build(args, cfg)
+        _emit(args, doc, render, inputs)
     except (MatrixFormatError, NonFiniteError, ShapeMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -159,8 +159,9 @@ def _compare(
         verdicts.append(_verdict("splitting 2 weak regular", weak2, cfg))
         verdicts.append(_geq_verdict("P1^+ A >= P2^+ A", p1_inv @ a, p2_inv @ a, cfg))
 
-    branch_i = _geq_verdict("P1^+ R1 >= P2^+ R2", p1_inv @ d1.r, p2_inv @ d2.r, cfg)
-    branch_ii = _geq_verdict("P1^+ S1 >= P2^+ S2", p1_inv @ d1.s, p2_inv @ d2.s, cfg)
+    pr1, ps1, pr2, ps2 = p1_inv @ d1.r, p1_inv @ d1.s, p2_inv @ d2.r, p2_inv @ d2.s
+    branch_i = _geq_verdict("P1^+ R1 >= P2^+ R2", pr1, pr2, cfg)
+    branch_ii = _geq_verdict("P1^+ S1 >= P2^+ S2", ps1, ps2, cfg)
     verdicts.extend([branch_i, branch_ii])
 
     if square_corollary and theorem is not TheoremId.WEAK_VS_WEAK:
@@ -181,10 +182,8 @@ def _compare(
     else:
         branch_used = Branch.NEITHER
 
-    w1 = companion_from_blocks(p1_inv @ d1.r, p1_inv @ d1.s)
-    w2 = companion_from_blocks(p2_inv @ d2.r, p2_inv @ d2.s)
-    rho1 = spectral_radius(w1, cfg)
-    rho2 = spectral_radius(w2, cfg)
+    rho1 = spectral_radius(companion_from_blocks(pr1, ps1), cfg)
+    rho2 = spectral_radius(companion_from_blocks(pr2, ps2), cfg)
 
     required_ok = all(
         v.passed for v in verdicts if v.label not in (branch_i.label, branch_ii.label, "R1 >= R2")

@@ -8,6 +8,7 @@ can be tightened or relaxed in one place.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.rank_rel_cutoff is not None and not 0.0 < self.rank_rel_cutoff < 1.0:
             raise ValueError("rank_rel_cutoff must lie in (0, 1)")
-        if self.max_iter < 1:
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
 
 

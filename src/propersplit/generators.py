@@ -349,33 +349,24 @@ def _steer_branch_ii(rng, p1_pinv, v1, theta1, p2_pinv, v2):
     return theta1, theta2
 
 
-def _ordered_pair_gains(rng, rank):
-    g1 = rng.uniform(0.7, 1.5, rank)
-    g2 = g1 / (1.0 + rng.uniform(0.1, 0.8) * rng.uniform(0.0, 1.0, rank))
-    return g1, g2
+def _ordered_p_pair(rng, frame: Frame):
+    """P1, P2 on one frame with gains g2 <= g1: P1^+ >= P2^+ >= 0 and P2 - P1 >= 0 exactly.
+
+    Returns ``g1, P1, P2, (P1^+, P2^+)``.
+    """
+    g1 = rng.uniform(0.7, 1.5, frame.rank)
+    g2 = g1 / (1.0 + rng.uniform(0.1, 0.8) * rng.uniform(0.0, 1.0, frame.rank))
+    p_pinvs = (frame.splitting_pinv(g1), frame.splitting_pinv(g2))
+    return g1, frame.splitting_matrix(g1), frame.splitting_matrix(g2), p_pinvs
 
 
-def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
-    """d1, d2 on one frame with P1^+ >= P2^+ and a steered branch condition."""
-    indicator = theorem is TheoremId.WEAK_VS_REGULAR
-    frame = random_frame(rng, m, n, rank, indicator_left=indicator)
-    g1, g2 = _ordered_pair_gains(rng, frame.rank)
-    p1 = frame.splitting_matrix(g1)
-    p2 = frame.splitting_matrix(g2)
-    p1_pinv = frame.splitting_pinv(g1)
-    p2_pinv = frame.splitting_pinv(g2)
+def _steered_splits(rng, p_pinvs, v1, v2):
+    """Convex splits of V1 and V2 steered to branch (i) or (ii), picked by a coin.
 
-    v1 = frame.col_projector() @ rng.uniform(0.2, 1.0, (m, n)) @ frame.row_projector()
-    radius = spectral_radius(p1_pinv @ v1, cfg)
-    if radius <= 1e-12:
-        return None
-    v1 = v1 * (rng.uniform(0.2, 0.9) / radius)
-    a = _frame_project(frame, p1 - v1)
-    v2 = v1 + (p2 - p1)  # >= 0: p2 - p1 is a nonneg rank-one sum
-    if spectral_radius(p2_pinv @ v2, cfg) > 0.98:
-        return None
-
-    theta1 = rng.uniform(0.1, 0.9, (m, n))
+    Returns ``(R1, S1, R2, S2)``, or None when the steering finds no scale.
+    """
+    p1_pinv, p2_pinv = p_pinvs
+    theta1 = rng.uniform(0.1, 0.9, v1.shape)
     if rng.uniform() < 0.5:
         r1, s1 = _convex_split(v1, theta1)
         theta2 = _steer_branch_i(rng, p1_pinv, r1, p2_pinv, v2)
@@ -387,7 +378,28 @@ def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
             return None
         theta1, theta2 = steered
         r1, s1 = _convex_split(v1, theta1)
-    r2, s2 = _convex_split(v2, theta2)
+    return (r1, s1, *_convex_split(v2, theta2))
+
+
+def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
+    """d1, d2 on one frame with P1^+ >= P2^+ and a steered branch condition."""
+    indicator = theorem is TheoremId.WEAK_VS_REGULAR
+    frame = random_frame(rng, m, n, rank, indicator_left=indicator)
+    _, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
+
+    v1 = frame.col_projector() @ rng.uniform(0.2, 1.0, (m, n)) @ frame.row_projector()
+    radius = spectral_radius(p_pinvs[0] @ v1, cfg)
+    if radius <= 1e-12:
+        return None
+    v1 = v1 * (rng.uniform(0.2, 0.9) / radius)
+    a = _frame_project(frame, p1 - v1)
+    v2 = v1 + (p2 - p1)  # >= 0: p2 - p1 is a nonneg rank-one sum
+    if spectral_radius(p_pinvs[1] @ v2, cfg) > 0.98:
+        return None
+    splits = _steered_splits(rng, p_pinvs, v1, v2)
+    if splits is None:
+        return None
+    r1, s1, r2, s2 = splits
 
     # weak-regular side may leave the nonnegative cone without changing W
     if theorem is TheoremId.REGULAR_VS_WEAK and rng.uniform() < 0.5:
@@ -397,9 +409,7 @@ def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
         z = _nullspace_shift(rng, frame, 0.3 * max(np.max(v1), 1e-3))
         r1, s1 = r1 - z, s1 - z
 
-    d1 = make_pds(a, p1, r1, s1, cfg)
-    d2 = make_pds(a, p2, r2, s2, cfg)
-    return d1, d2
+    return make_pds(a, p1, r1, s1, cfg), make_pds(a, p2, r2, s2, cfg)
 
 
 def _shared_p_pair(rng, m, n, rank, cfg):
@@ -431,34 +441,17 @@ def _blockdiag_weak_pair(rng, m, n, rank, cfg):
     stays below one.
     """
     frame = random_frame(rng, m, n, rank)
-    g1, g2 = _ordered_pair_gains(rng, frame.rank)
-    p1 = frame.splitting_matrix(g1)
-    p2 = frame.splitting_matrix(g2)
-    p1_pinv = frame.splitting_pinv(g1)
-    p2_pinv = frame.splitting_pinv(g2)
+    g1, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
     tau = rng.uniform(0.2, 0.9)
     nu = rng.uniform(0.2, 1.0, frame.rank)
     nu = nu * (tau / np.max(g1 * nu))
     v1 = frame.rank_one_sum(nu)
     a = _frame_project(frame, p1 - v1)
-    v2 = v1 + (p2 - p1)
-
-    theta1 = rng.uniform(0.1, 0.9, (m, n))
-    if rng.uniform() < 0.5:
-        r1, s1 = _convex_split(v1, theta1)
-        theta2 = _steer_branch_i(rng, p1_pinv, r1, p2_pinv, v2)
-        if theta2 is None:
-            return None
-    else:
-        steered = _steer_branch_ii(rng, p1_pinv, v1, theta1, p2_pinv, v2)
-        if steered is None:
-            return None
-        theta1, theta2 = steered
-        r1, s1 = _convex_split(v1, theta1)
-    r2, s2 = _convex_split(v2, theta2)
-    d1 = make_pds(a, p1, r1, s1, cfg)
-    d2 = make_pds(a, p2, r2, s2, cfg)
-    return d1, d2
+    splits = _steered_splits(rng, p_pinvs, v1, v1 + (p2 - p1))
+    if splits is None:
+        return None
+    r1, s1, r2, s2 = splits
+    return make_pds(a, p1, r1, s1, cfg), make_pds(a, p2, r2, s2, cfg)
 
 
 def comparison_pair(

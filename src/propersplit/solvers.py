@@ -87,7 +87,29 @@ class _TailGuard:
         return tail <= 5.0 * self.tol * (1.0 + scale) + self.tol
 
 
-def _finish(iterates, residuals, reference, step_ok, diverged, cfg, x0_flag):
+def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
+    """Run ``x_next = update(iterates)`` from the starting vector(s) ``start``.
+
+    A run stops on divergence, at ``cfg.max_iter``, or once the tail guard
+    admits a stop after ``need_small`` consecutive steps below the tolerance.
+    """
+    iterates = [x.copy() for x in start]
+    residuals: list[float] = []
+    step_ok = diverged = False
+    guard = _TailGuard(cfg.solve_tol)
+    small = 0
+    for _ in range(cfg.max_iter):
+        x_next = update(iterates)
+        step = float(np.linalg.norm(x_next - iterates[-1]))
+        iterates.append(x_next)
+        residuals.append(step)
+        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > OVERFLOW_GUARD:
+            diverged = True
+            break
+        small = small + 1 if step <= cfg.solve_tol else 0
+        if guard.update(step, float(np.linalg.norm(x_next))) and small >= need_small:
+            step_ok = True
+            break
     limit = iterates[-1]
     distance = float(np.linalg.norm(limit - reference))
     converged = bool(
@@ -118,26 +140,8 @@ def solve_single(
     a_pinv, u_pinv = s.pinvs(cfg)
     h = u_pinv @ s.v
     c = u_pinv @ b
-    reference = a_pinv @ b
     x0_flag = _in_nullspace(s.v, x, cfg)
-
-    iterates = [x.copy()]
-    residuals: list[float] = []
-    step_ok = diverged = False
-    guard = _TailGuard(cfg.solve_tol)
-    for _ in range(cfg.max_iter):
-        x_next = h @ x + c
-        step = float(np.linalg.norm(x_next - x))
-        iterates.append(x_next)
-        residuals.append(step)
-        x = x_next
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > OVERFLOW_GUARD:
-            diverged = True
-            break
-        if guard.update(step, float(np.linalg.norm(x_next))):
-            step_ok = True
-            break
-    return _finish(iterates, residuals, reference, step_ok, diverged, cfg, x0_flag)
+    return _iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
 
 
 def solve_double(
@@ -147,7 +151,12 @@ def solve_double(
     x1=None,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> IterationTrace:
-    """Two-step stationary iteration for the double splitting A = P - R + S."""
+    """Two-step stationary iteration for the double splitting A = P - R + S.
+
+    The two-step recursion is stationary only when the stacked state
+    (x_k, x_{k-1}) stops moving; a single small step can be a transient
+    coincidence, so a stop needs two small steps in a row.
+    """
     m, n = d.a.shape
     b = as_vector(b, length=m)
     x_prev = np.zeros(n) if x0 is None else as_vector(x0, length=n)
@@ -156,28 +165,7 @@ def solve_double(
     pr = p_pinv @ d.r
     ps = p_pinv @ d.s
     pb = p_pinv @ b
-    reference = a_pinv @ b
     x0_flag = _in_nullspace(d.r - d.s, x_prev, cfg)
-
-    iterates = [x_prev.copy(), x_curr.copy()]
-    residuals: list[float] = []
-    step_ok = diverged = False
-    guard = _TailGuard(cfg.solve_tol)
-    prev_step = np.inf
-    for _ in range(cfg.max_iter):
-        x_next = pr @ x_curr - ps @ x_prev + pb
-        step = float(np.linalg.norm(x_next - x_curr))
-        iterates.append(x_next)
-        residuals.append(step)
-        x_prev, x_curr = x_curr, x_next
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > OVERFLOW_GUARD:
-            diverged = True
-            break
-        # the two-step recursion is stationary only when the stacked state
-        # (x_k, x_{k-1}) stops moving; a single small step can be a transient
-        # coincidence, so require two in a row besides the tail guard
-        if guard.update(step, float(np.linalg.norm(x_next))) and prev_step <= cfg.solve_tol:
-            step_ok = True
-            break
-        prev_step = step
-    return _finish(iterates, residuals, reference, step_ok, diverged, cfg, x0_flag)
+    return _iterate(
+        lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
+    )

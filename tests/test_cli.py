@@ -2,14 +2,18 @@
 
 import json
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
 from propersplit.cli import main
+from propersplit.comparison import TheoremId
+from propersplit.generators import comparison_pair
 from propersplit.matrixfile import parse_matrix, read_matrix, write_matrix
 
-DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def _example_paths(prefix):
@@ -288,3 +292,85 @@ class TestOutputOptions:
         assert main(["pinv", ex1_files["a"], "--out", str(target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _readme_commands():
+    """Commands of the ``sh`` block under "Command line" in the README."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize(
+    "command", _readme_commands(), ids=lambda c: "-".join(shlex.split(c)[1:3])
+)
+def test_readme_command_runs(command, monkeypatch, capsys):
+    words = shlex.split(command)
+    assert words[0] == "propersplit"
+    monkeypatch.chdir(ROOT)
+    assert main(words[1:]) == 0, capsys.readouterr().err
+
+
+_SEVEN = ("a", "p1", "r1", "s1", "p2", "r2", "s2")
+
+# ``exN_*`` names a bundled file, ``sq_*`` a file of a generated square pair
+_AGREEMENT_CASES = {
+    "spectrum": ["spectrum", "ex2_w1"],
+    "classify-single": ["classify", "single", "ex2_a", "ex2_p1"],
+    "classify-single-weak": ["classify", "single", "ex1_a", "ex1_p2"],
+    "classify-double": ["classify", "double", "ex1_a", "ex1_p1", "ex1_r1", "ex1_s1"],
+    "solve-single-trace": ["solve", "single", "ex2_a", "ex2_p1", "ex2_b", "--trace"],
+    "solve-double-trace": ["solve", "double", "ex2_a", "ex2_p1", "ex2_r1", "ex2_s1", "ex2_b", "--trace"],
+    "compare": ["compare", "regular-vs-weak", *(f"ex1_{k}" for k in _SEVEN)],
+    "compare-square-corollary": [
+        "compare", "regular-vs-weak", *(f"sq_{k}" for k in _SEVEN), "--square-corollary"
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def square_pair_dir(tmp_path_factory):
+    d1, d2 = comparison_pair(np.random.default_rng(3), TheoremId.REGULAR_VS_WEAK, 4, 4, 4)
+    target = tmp_path_factory.mktemp("square_pair")
+    for name, m in zip(_SEVEN, (d1.a, d1.p, d1.r, d1.s, d2.p, d2.r, d2.s)):
+        write_matrix(target / f"sq_{name}.mat", m)
+    return target
+
+
+def _float_leaves(node):
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _float_leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _float_leaves(value)
+
+
+def _text_and_doc(argv, capsys):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    return text, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("case", list(_AGREEMENT_CASES), ids=str)
+def test_text_carries_every_json_float(case, square_pair_dir, capsys):
+    argv = [
+        str(DATA / f"{tok}.mat") if tok.startswith("ex")
+        else str(square_pair_dir / f"{tok}.mat") if tok.startswith("sq_")
+        else tok
+        for tok in _AGREEMENT_CASES[case]
+    ]
+    text, doc = _text_and_doc(argv, capsys)
+    floats = list(_float_leaves(doc))
+    assert floats
+    missing = [x for x in floats if json.dumps(abs(x)) not in text]
+    assert not missing
+
+
+@pytest.mark.parametrize("name", ["ex1_p1", "ex2_w1"])
+def test_pinv_text_matrix_equals_json_entries(name, capsys):
+    text, doc = _text_and_doc(["pinv", str(DATA / f"{name}.mat")], capsys)
+    assert np.array_equal(parse_matrix(text), np.array(doc["entries"]))

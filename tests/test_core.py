@@ -56,6 +56,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ToleranceConfig(solve_tol=bad)
 
+    def test_tolerance_config_max_iter_must_be_integral(self):
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError):
+                ToleranceConfig(max_iter=bad)
+        assert ToleranceConfig(max_iter=np.int64(3)).max_iter == 3
+
 
 class TestPinv:
     def test_identity(self):
