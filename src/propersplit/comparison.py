@@ -26,6 +26,7 @@ from .core import (
     has_zero_row,
     matrix_rank,
     max_abs_diff,
+    nonneg_residual,
     spectral_radius,
 )
 from .double import ProperDoubleSplitting, companion_from_blocks, sign_residuals
@@ -88,7 +89,7 @@ def _verdict(label: str, residual: float, cfg: ToleranceConfig) -> HypothesisVer
 
 
 def _nonneg_verdict(label: str, m, cfg: ToleranceConfig) -> HypothesisVerdict:
-    return _verdict(label, max(0.0, -float(np.min(m))), cfg)
+    return _verdict(label, nonneg_residual(m), cfg)
 
 
 def _geq_verdict(label: str, x, y, cfg: ToleranceConfig) -> HypothesisVerdict:
@@ -103,13 +104,14 @@ def _require_invertible(a, cfg: ToleranceConfig) -> None:
         raise NotInvertibleError("square corollary mode needs a nonsingular A")
 
 
-def _compare(
+def compare(
     theorem: TheoremId,
     d1: ProperDoubleSplitting,
     d2: ProperDoubleSplitting,
-    cfg: ToleranceConfig,
-    square_corollary: bool,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    square_corollary: bool = False,
 ) -> ComparisonReport:
+    """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2)."""
     if d1.a.shape != d2.a.shape or max_abs_diff(d1.a, d2.a) > cfg.eq_abs_tol:
         raise DifferentAError("both double splittings must decompose the same matrix A")
     a = d1.a
@@ -118,11 +120,13 @@ def _compare(
         _require_invertible(a, cfg)
         notes.append("square corollary mode: A is invertible, classical inverse used")
         a_inv, p1_inv, p2_inv = (np.linalg.inv(x) for x in (a, d1.p, d2.p))
+        pr1, ps1, pr2, ps2 = p1_inv @ d1.r, p1_inv @ d1.s, p2_inv @ d2.r, p2_inv @ d2.s
     else:
         a_inv, p1_inv = d1.pinvs(cfg)
         p2_inv = d2.pinvs(cfg)[1]
-    regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s)
-    regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s)
+        (pr1, ps1), (pr2, ps2) = d1.blocks(cfg), d2.blocks(cfg)
+    regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s, pr1, ps1)
+    regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s, pr2, ps2)
 
     verdicts: list[HypothesisVerdict] = []
     verdicts.append(_nonneg_verdict("A^+ >= 0", a_inv, cfg))
@@ -159,7 +163,6 @@ def _compare(
         verdicts.append(_verdict("splitting 2 weak regular", weak2, cfg))
         verdicts.append(_geq_verdict("P1^+ A >= P2^+ A", p1_inv @ a, p2_inv @ a, cfg))
 
-    pr1, ps1, pr2, ps2 = p1_inv @ d1.r, p1_inv @ d1.s, p2_inv @ d2.r, p2_inv @ d2.s
     branch_i = _geq_verdict("P1^+ R1 >= P2^+ R2", pr1, pr2, cfg)
     branch_ii = _geq_verdict("P1^+ S1 >= P2^+ S2", ps1, ps2, cfg)
     verdicts.extend([branch_i, branch_ii])
@@ -211,7 +214,7 @@ def compare_regular_vs_weak(
     square_corollary: bool = False,
 ) -> ComparisonReport:
     """Splitting 1 regular, splitting 2 weak regular, plus P1 P1^+ >= 0."""
-    return _compare(TheoremId.REGULAR_VS_WEAK, d1, d2, cfg, square_corollary)
+    return compare(TheoremId.REGULAR_VS_WEAK, d1, d2, cfg, square_corollary)
 
 
 def compare_weak_vs_regular(
@@ -222,7 +225,7 @@ def compare_weak_vs_regular(
 ) -> ComparisonReport:
     """Splitting 1 weak regular, splitting 2 regular with the all-ones vector
     in range(A), no zero row in P2^+, and P2 P2^+ >= 0."""
-    return _compare(TheoremId.WEAK_VS_REGULAR, d1, d2, cfg, square_corollary)
+    return compare(TheoremId.WEAK_VS_REGULAR, d1, d2, cfg, square_corollary)
 
 
 def compare_weak_vs_weak(
@@ -232,22 +235,4 @@ def compare_weak_vs_weak(
     square_corollary: bool = False,
 ) -> ComparisonReport:
     """Both splittings weak regular, ordered through P1^+ A >= P2^+ A."""
-    return _compare(TheoremId.WEAK_VS_WEAK, d1, d2, cfg, square_corollary)
-
-
-_DISPATCH = {
-    TheoremId.REGULAR_VS_WEAK: compare_regular_vs_weak,
-    TheoremId.WEAK_VS_REGULAR: compare_weak_vs_regular,
-    TheoremId.WEAK_VS_WEAK: compare_weak_vs_weak,
-}
-
-
-def compare(
-    theorem: TheoremId,
-    d1: ProperDoubleSplitting,
-    d2: ProperDoubleSplitting,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    square_corollary: bool = False,
-) -> ComparisonReport:
-    """Dispatch to the checker for ``theorem``."""
-    return _DISPATCH[theorem](d1, d2, cfg, square_corollary)
+    return compare(TheoremId.WEAK_VS_WEAK, d1, d2, cfg, square_corollary)

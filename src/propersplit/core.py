@@ -31,6 +31,7 @@ __all__ = [
     "eigenvalues",
     "spectral_radius",
     "matrix_rank",
+    "nonneg_residual",
     "is_nonneg",
     "geq",
     "range_projector",
@@ -198,8 +199,9 @@ def _perron_vector(m: np.ndarray, vals, vecs, rho: float, cfg: ToleranceConfig):
         peak = np.max(np.abs(v))
         if peak <= 0.0:
             return None
-        v = v / v[int(np.argmax(np.abs(v)))]  # sign fix + unit max entry
-        if np.min(v) < -cfg.nonneg_slack:
+        # sign fix + unit max entry; adding 0.0 turns each -0.0 into 0.0
+        v = v / v[int(np.argmax(np.abs(v)))] + 0.0
+        if not is_nonneg(v, cfg):
             return None
         if np.linalg.norm(m @ v - rho * v) > tol * max(1.0, np.linalg.norm(v)):
             return None
@@ -266,12 +268,19 @@ def spectral_radius(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def nonneg_residual(x) -> float:
+    """How far the lowest entry dips below zero, ``max(0, -min x)``: the
+    violation residual of ``X >= 0`` behind every sign test of the package."""
+    arr = np.asarray(x, dtype=float)
+    lowest = float(np.min(arr))  # NaN if any entry is NaN
+    if not (np.isfinite(lowest) and np.isfinite(np.max(arr))):
+        raise NonFiniteError("nonnegativity test on NaN or Inf entries")
+    return max(0.0, -lowest)
+
+
 def is_nonneg(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True iff every entry is >= -nonneg_slack."""
-    arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("nonnegativity test on NaN or Inf entries")
-    return bool(np.min(arr) >= -cfg.nonneg_slack)
+    return nonneg_residual(a) <= cfg.nonneg_slack
 
 
 def geq(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

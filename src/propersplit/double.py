@@ -19,6 +19,7 @@ from .core import (
     as_matrix,
     is_nonneg,
     max_abs_diff,
+    nonneg_residual,
     pinv,  # noqa: F401  perfbench checks that its tracer wraps pinv here too
     spectral_radius,
 )
@@ -63,6 +64,11 @@ class ProperDoubleSplitting:
         """Read-only ``(A^+, P^+)``, those of the induced splitting U = P."""
         return self._induced.pinvs(cfg)
 
+    def blocks(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(P^+ R, P^+ S)``, kept beside the induced splitting's own."""
+        p_pinv = self.pinvs(cfg)[1]
+        return self._induced._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
+
 
 def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDoubleSplitting:
     """Validate the decomposition and the subspace conditions on P."""
@@ -82,20 +88,21 @@ def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDou
     return d
 
 
-def sign_residuals(p_inv, r, s) -> tuple[float, float]:
+def sign_residuals(p_inv, r, s, pr, ps) -> tuple[float, float]:
     """Worst entry violations of the regular (P^+, R, -S >= 0) and weak regular
-    (P^+, P^+ R, -P^+ S >= 0) sign tests; p_inv is P^+ or a nonsingular P's inverse."""
-    lowest = np.min(p_inv)
-    regular = min(lowest, np.min(r), -np.max(s))
-    weak = min(lowest, np.min(p_inv @ r), -np.max(p_inv @ s))
-    return max(0.0, -float(regular)), max(0.0, -float(weak))
+    (P^+, P^+ R, -P^+ S >= 0) sign tests; p_inv is P^+ or a nonsingular P's
+    inverse, and pr, ps are its products with R and S."""
+    lowest = nonneg_residual(p_inv)
+    regular = max(lowest, nonneg_residual(r), nonneg_residual(-s))
+    weak = max(lowest, nonneg_residual(pr), nonneg_residual(-ps))
+    return regular, weak
 
 
 def classify_double(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> DoubleSplittingClass:
     """Strongest applicable tag from :func:`sign_residuals` on P^+."""
-    regular, weak = sign_residuals(d.pinvs(cfg)[1], d.r, d.s)
+    regular, weak = sign_residuals(d.pinvs(cfg)[1], d.r, d.s, *d.blocks(cfg))
     if regular <= cfg.nonneg_slack:
         return DoubleSplittingClass.REGULAR
     if weak <= cfg.nonneg_slack:
@@ -119,13 +126,13 @@ def iteration_matrix(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """The 2n x 2n companion matrix of the two-step scheme."""
-    p_pinv = d.pinvs(cfg)[1]
-    return companion_from_blocks(p_pinv @ d.r, p_pinv @ d.s)
+    return companion_from_blocks(*d.blocks(cfg))
 
 
 def induced_single(d: ProperDoubleSplitting) -> ProperSplitting:
-    """The single splitting U = P, V = R - S, built with d; proper-ness and the
-    pseudoinverses A^+, P^+ are one and the same for both."""
+    """The single splitting U = P, V = R - S, built with d; proper-ness, the
+    pseudoinverses A^+, P^+ and the memo holding them are one and the same
+    for both."""
     return d._induced
 
 
@@ -154,11 +161,10 @@ class ConvergenceReport:
 def check_convergence(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConvergenceReport:
-    a_pinv, p_pinv = d.pinvs(cfg)
     cls = classify_double(d, cfg)
     rho_w = spectral_radius(iteration_matrix(d, cfg), cfg)
-    rho_induced = spectral_radius(p_pinv @ (d.r - d.s), cfg)
-    semi = is_nonneg(a_pinv, cfg)
+    rho_induced = spectral_radius(induced_single(d).block(cfg), cfg)
+    semi = is_nonneg(d.pinvs(cfg)[0], cfg)
     converges = rho_w < 1.0
 
     if cls is DoubleSplittingClass.PROPER_ONLY:

@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PropersplitError",
+    "NonFiniteError",
+    "ShapeMismatchError",
+    "NotSquareError",
+    "DecompositionFailure",
+    "MatrixFormatError",
+    "NotProperError",
+    "DecompositionMismatchError",
+    "HypothesisUnmetError",
+    "DifferentAError",
+    "NotInvertibleError",
+]
+
 
 class PropersplitError(Exception):
     """Base class for every error this package raises deliberately."""

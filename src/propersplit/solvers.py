@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, as_vector, pinv
-from .double import ProperDoubleSplitting
+from .double import ProperDoubleSplitting, induced_single
 from .splitting import ProperSplitting
 
 __all__ = ["OVERFLOW_GUARD", "IterationTrace", "min_norm_lsq", "solve_single", "solve_double"]
@@ -138,7 +138,7 @@ def solve_single(
     b = as_vector(b, length=m)
     x = np.zeros(n) if x0 is None else as_vector(x0, length=n)
     a_pinv, u_pinv = s.pinvs(cfg)
-    h = u_pinv @ s.v
+    h = s.block(cfg)
     c = u_pinv @ b
     x0_flag = _in_nullspace(s.v, x, cfg)
     return _iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
@@ -162,10 +162,9 @@ def solve_double(
     x_prev = np.zeros(n) if x0 is None else as_vector(x0, length=n)
     x_curr = np.zeros(n) if x1 is None else as_vector(x1, length=n)
     a_pinv, p_pinv = d.pinvs(cfg)
-    pr = p_pinv @ d.r
-    ps = p_pinv @ d.s
+    pr, ps = d.blocks(cfg)
     pb = p_pinv @ b
-    x0_flag = _in_nullspace(d.r - d.s, x_prev, cfg)
+    x0_flag = _in_nullspace(induced_single(d).v, x_prev, cfg)
     return _iterate(
         lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
     )

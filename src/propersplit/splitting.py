@@ -50,16 +50,28 @@ class ProperSplitting:
     a: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    _pinv_memo: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _owned(self, name: str, cfg: ToleranceConfig, make):
+        """``make()``'s read-only matrices, made once per effective rank cutoff."""
+        # read-only, because every consumer of the splitting shares them
+        key = (name, _rank_cutoff(self.a.shape, cfg))
+        if key not in self._memo:
+            mats = make()
+            for m in mats:
+                m.flags.writeable = False
+            self._memo[key] = mats
+        return self._memo[key]
 
     def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(A^+, U^+)``, computed once per effective rank cutoff."""
-        # read-only, because every consumer of the splitting shares them
-        key = _rank_cutoff(self.a.shape, cfg)
-        if key not in self._pinv_memo:
-            pair = tuple(as_matrix(pinv(m, cfg), readonly=True) for m in (self.a, self.u))
-            self._pinv_memo[key] = pair
-        return self._pinv_memo[key]
+        """Read-only ``(A^+, U^+)``."""
+        return self._owned(
+            "pinvs", cfg, lambda: tuple(as_matrix(pinv(m, cfg)) for m in (self.a, self.u))
+        )
+
+    def block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Read-only ``U^+ V``, the iteration matrix of the one-step scheme."""
+        return self._owned("U^+V", cfg, lambda: (self.pinvs(cfg)[1] @ self.v,))[0]
 
 
 def _require_proper(s: ProperSplitting, cfg: ToleranceConfig) -> None:
@@ -81,11 +93,10 @@ def make_proper_splitting(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Pr
 
 def classify_single(s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SplittingClass:
     """Strongest applicable tag from the sign tests on U^+, V and U^+ V."""
-    u_pinv = s.pinvs(cfg)[1]
-    if is_nonneg(u_pinv, cfg):
+    if is_nonneg(s.pinvs(cfg)[1], cfg):
         if is_nonneg(s.v, cfg):
             return SplittingClass.PROPER_REGULAR
-        if is_nonneg(u_pinv @ s.v, cfg):
+        if is_nonneg(s.block(cfg), cfg):
             return SplittingClass.PROPER_WEAK_REGULAR
     return SplittingClass.PROPER_ONLY
 
@@ -133,10 +144,10 @@ def check_semimonotone_equivalence(
         raise HypothesisUnmetError(
             "three-way equivalence requires a proper weak regular splitting"
         )
-    a_pinv, u_pinv = s.pinvs(cfg)
+    a_pinv = s.pinvs(cfg)[0]
     cond_semi = is_nonneg(a_pinv, cfg)
     cond_av = is_nonneg(a_pinv @ s.v, cfg)
-    rho = spectral_radius(u_pinv @ s.v, cfg)
+    rho = spectral_radius(s.block(cfg), cfg)
     cond_rho = rho < 1.0
     agree = cond_semi == cond_av == cond_rho
     return SemimonotoneEquivalenceReport(cond_semi, cond_av, rho, cond_rho, agree)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface, including exit codes."""
 
 import json
+import math
 import pathlib
 import shlex
 
@@ -77,6 +78,18 @@ class TestSpectrum:
         p = tmp_path / "m.mat"
         write_matrix(p, np.ones((2, 3)))
         assert main(["spectrum", str(p)]) == 3
+
+    def test_dominant_vector_has_no_negative_zero(self, capsys):
+        # the -P^+S block of this companion holds -0.0 entries
+        path = str(DATA / "ex2_w1.mat")
+        assert main(["spectrum", path, "--format", "json"]) == 0
+        vector = json.loads(capsys.readouterr().out)["dominant_vector"]
+        zeros = [x for x in vector if x == 0.0]
+        assert len(zeros) == 4
+        assert all(math.copysign(1.0, x) > 0 for x in zeros)
+        assert main(["spectrum", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "dominant vector (unit max entry): 0.0 0.7675918792439981 0.0 0.0 1.0 0.0"
 
 
 class TestClassify:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.random import default_rng
 
 from propersplit import (
@@ -17,6 +20,7 @@ from propersplit import (
     has_zero_row,
     is_nonneg,
     matrix_rank,
+    nonneg_residual,
     nullspace_projector,
     penrose_residuals,
     pinv,
@@ -275,3 +279,29 @@ class TestProjectors:
             for p in (range_projector(a), nullspace_projector(a)):
                 assert np.max(np.abs(p @ p - p)) < 1e-10
                 assert np.max(np.abs(p.T - p)) < 1e-10
+
+
+# entries cluster near zero so that many draws sit on either side of the slack
+_entries = st.one_of(
+    st.floats(-1e-9, 1e-9, allow_nan=False),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_finite_arrays = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=6), elements=_entries)
+
+
+class TestNonnegResidual:
+    @settings(max_examples=300, deadline=None)
+    @given(x=_finite_arrays, slack=st.sampled_from([0.0, 1e-12, 1e-10, 1e-3]))
+    def test_residual_within_slack_iff_min_within_slack(self, x, slack):
+        residual = nonneg_residual(x)
+        assert residual >= 0.0
+        assert (residual <= slack) == (np.min(x) >= -slack)
+        assert is_nonneg(x, ToleranceConfig(nonneg_slack=slack)) == (residual <= slack)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=_finite_arrays, data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_rejects_nan_and_inf(self, x, data, bad):
+        x = x.copy()
+        x.flat[data.draw(st.integers(0, x.size - 1))] = bad
+        with pytest.raises(NonFiniteError):
+            nonneg_residual(x)

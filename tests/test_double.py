@@ -198,3 +198,47 @@ class TestOwnedPseudoinverses:
         assert np.array_equal(iteration_matrix(d, cfg), w)
         assert expected.rho_w != default.rho_w
         assert check_convergence(d) == default  # the construction-time pair is kept
+
+    def test_blocks_are_read_only(self):
+        d = weak_regular_double(default_rng(17), 6, 5, 3, rho=0.8)
+        for m in (*d.blocks(), induced_single(d).block()):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+    def test_repeated_calls_return_the_same_objects(self):
+        rng = default_rng(18)
+        d = weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3)
+        pr, ps = d.blocks()
+        uv = induced_single(d).block()
+        check_convergence(d)
+        solve_double(d, rng.uniform(0.5, 1.5, 6))
+        solve_single(induced_single(d), rng.uniform(0.5, 1.5, 6))
+        again = d.blocks()
+        assert again[0] is pr and again[1] is ps
+        assert induced_single(d).block() is uv
+
+    def test_companion_top_blocks_are_the_owned_blocks(self):
+        d = weak_regular_double(default_rng(19), 6, 5, 3, rho=0.8, nullspace_mix=0.3)
+        p_pinv = d.pinvs()[1]
+        w = iteration_matrix(d)
+        n = d.a.shape[1]
+        # bit-for-bit: tobytes also tells -0.0 from 0.0
+        assert w[:n, :n].tobytes() == (p_pinv @ d.r).tobytes() == d.blocks()[0].tobytes()
+        assert w[:n, n:].tobytes() == (-(p_pinv @ d.s)).tobytes() == (-d.blocks()[1]).tobytes()
+
+    def test_other_cutoff_forms_its_own_blocks(self):
+        # as above: the relative cutoff 1e-3 drops P's second singular value
+        p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
+        r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
+        s = np.array([[-0.1, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        d = make_pds(p - r + s, p, r, s)
+        default_blocks = d.blocks()
+        cfg = ToleranceConfig(rank_rel_cutoff=1e-3)
+        p_pinv = pinv(d.p, cfg)
+        pr, ps = d.blocks(cfg)
+        assert pr is not default_blocks[0] and ps is not default_blocks[1]
+        assert np.array_equal(pr, p_pinv @ d.r) and np.array_equal(ps, p_pinv @ d.s)
+        assert not np.array_equal(pr, default_blocks[0])
+        assert np.array_equal(induced_single(d).block(cfg), p_pinv @ (d.r - d.s))
+        assert d.blocks()[0] is default_blocks[0]  # the default-cutoff blocks are kept
