@@ -41,6 +41,7 @@ from .errors import (
     DecompositionFailure,
     DecompositionMismatchError,
     DifferentAError,
+    HypothesisUnmetError,
     MatrixFormatError,
     NonFiniteError,
     NotInvertibleError,
@@ -54,7 +55,6 @@ from .splitting import (
     SplittingClass,
     check_projector_identities,
     check_semimonotone_equivalence,
-    classify_single,
     make_proper_splitting,
 )
 
@@ -190,18 +190,20 @@ def cmd_classify(args, cfg):
     inputs = _read_files(args, "A U" if args.kind == "single" else "A P R S")
     if args.kind == "single":
         s = make_proper_splitting(*inputs.values(), cfg)
-        tag = classify_single(s, cfg)
+        try:  # classifies s, and raises exactly when s is ProperOnly
+            eq = check_semimonotone_equivalence(s, cfg)
+        except HypothesisUnmetError:
+            eq = None
         proj = check_projector_identities(s, cfg)
         doc = {
             "command": "classify",
             "kind": "single",
-            "class": tag.value,
+            "class": (eq.splitting_class if eq else SplittingClass.PROPER_ONLY).value,
             "projector_range_residual": proj.range_residual,
             "projector_rowspace_residual": proj.rowspace_residual,
             "projector_identities_pass": proj.passed,
         }
-        if tag is not SplittingClass.PROPER_ONLY:
-            eq = check_semimonotone_equivalence(s, cfg)
+        if eq is not None:
             doc.update(
                 {
                     "a_pinv_nonneg": eq.a_pinv_nonneg,

@@ -23,13 +23,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _restricted_radius,
     has_zero_row,
     matrix_rank,
     max_abs_diff,
     nonneg_residual,
-    spectral_radius,
 )
-from .double import ProperDoubleSplitting, companion_from_blocks, sign_residuals
+from .double import ProperDoubleSplitting, sign_residuals
 from .errors import DifferentAError, NotInvertibleError
 
 __all__ = [
@@ -111,7 +111,12 @@ def compare(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     square_corollary: bool = False,
 ) -> ComparisonReport:
-    """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2)."""
+    """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2).
+
+    ``rho1`` and ``rho2`` are taken on the 2r x 2r restriction of each
+    companion to ``range(P_i^+)``, or on the full 2n x 2n companions in
+    square-corollary mode.
+    """
     if d1.a.shape != d2.a.shape or max_abs_diff(d1.a, d2.a) > cfg.eq_abs_tol:
         raise DifferentAError("both double splittings must decompose the same matrix A")
     a = d1.a
@@ -121,10 +126,12 @@ def compare(
         notes.append("square corollary mode: A is invertible, classical inverse used")
         a_inv, p1_inv, p2_inv = (np.linalg.inv(x) for x in (a, d1.p, d2.p))
         pr1, ps1, pr2, ps2 = p1_inv @ d1.r, p1_inv @ d1.s, p2_inv @ d2.r, p2_inv @ d2.s
+        basis1 = basis2 = np.eye(a.shape[1])  # the whole space: full companions
     else:
         a_inv, p1_inv = d1.pinvs(cfg)
         p2_inv = d2.pinvs(cfg)[1]
         (pr1, ps1), (pr2, ps2) = d1.blocks(cfg), d2.blocks(cfg)
+        basis1, basis2 = d1.rowspace(cfg), d2.rowspace(cfg)
     regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s, pr1, ps1)
     regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s, pr2, ps2)
 
@@ -185,8 +192,8 @@ def compare(
     else:
         branch_used = Branch.NEITHER
 
-    rho1 = spectral_radius(companion_from_blocks(pr1, ps1), cfg)
-    rho2 = spectral_radius(companion_from_blocks(pr2, ps2), cfg)
+    rho1 = _restricted_radius(basis1, (pr1, ps1), cfg)
+    rho2 = _restricted_radius(basis2, (pr2, ps2), cfg)
 
     required_ok = all(
         v.passed for v in verdicts if v.label not in (branch_i.label, branch_ii.label, "R1 >= R2")

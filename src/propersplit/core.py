@@ -29,6 +29,7 @@ __all__ = [
     "pinv",
     "penrose_residuals",
     "eigenvalues",
+    "companion_from_blocks",
     "spectral_radius",
     "matrix_rank",
     "nonneg_residual",
@@ -131,17 +132,23 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     The zero matrix maps to the zero matrix of transposed shape, which is the
     unique solution of the four defining equations in that case.
     """
+    return _pinv_rowspace(a, cfg)[0]
+
+
+def _pinv_rowspace(a, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(A^+, V_r)`` from one SVD: :func:`pinv`'s result and the n x r matrix
+    of kept right singular vectors, an orthonormal basis of ``range(A^+)``
+    (A's row space); r = 0 for the zero matrix."""
     a = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > _rank_cutoff(a.shape, cfg) * s[0]
-    if not np.any(keep):
-        return np.zeros((a.shape[1], a.shape[0]))
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
+    if s[0] <= 0.0:  # the zero matrix; as_matrix rejects empty input
+        return np.zeros((a.shape[1], a.shape[0])), np.zeros((a.shape[1], 0))
+    keep = s > _rank_cutoff(a.shape, cfg) * s[0]  # keeps s[0], as the cutoff is < 1
+    basis = vt[keep].T
+    return (basis / s[keep]) @ u[:, keep].T, np.ascontiguousarray(basis)
 
 
 def penrose_residuals(a, x) -> tuple[float, float, float, float]:
@@ -256,6 +263,18 @@ def eigenvalues(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
     return Spectrum(_sorted_eigenvalues(vals), rho, dominant)
 
 
+def companion_from_blocks(pr: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Assemble ``[[pr, -ps], [I, 0]]`` with exact identity and zero blocks."""
+    n = pr.shape[0]
+    if pr.shape != (n, n) or ps.shape != (n, n):
+        raise ShapeMismatchError("companion blocks must be square and equally sized")
+    w = np.zeros((2 * n, 2 * n))
+    w[:n, :n] = pr
+    w[:n, n:] = -ps
+    w[n:, :n] = np.eye(n)
+    return w
+
+
 def spectral_radius(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Maximum eigenvalue modulus of a square matrix."""
     m = as_matrix(m)
@@ -266,6 +285,26 @@ def spectral_radius(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(f"eigenvalue iteration did not converge: {exc}") from exc
     return float(np.max(np.abs(vals)))
+
+
+def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float:
+    """Spectral radius of ``blocks[0]`` alone, or of the companion
+    :func:`companion_from_blocks` of two blocks, where every block maps into
+    ``range(basis)`` and ``basis`` (n x r) has orthonormal columns.
+
+    With Q = basis each block B satisfies B = Q Q^T B, so ``range(Q)`` (one
+    block) or ``range(Q) + range(Q)`` (companion) is invariant and the map is
+    nilpotent on the quotient: the spectrum is that of the r x r ``Q^T B Q``,
+    or of the 2r x 2r companion of the ``Q^T B_i Q``, plus zeros.  r = n takes
+    the radius of the full matrix; r = 0 gives 0.0 without an eigensolve.
+    """
+    n, r = basis.shape
+    if r == 0:
+        return 0.0
+    if r < n:
+        blocks = [basis.T @ (b @ basis) for b in blocks]
+    m = blocks[0] if len(blocks) == 1 else companion_from_blocks(*blocks)
+    return spectral_radius(m, cfg)
 
 
 def nonneg_residual(x) -> float:

@@ -16,12 +16,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _restricted_radius,
     as_matrix,
+    companion_from_blocks,
     is_nonneg,
     max_abs_diff,
     nonneg_residual,
     pinv,  # noqa: F401  perfbench checks that its tracer wraps pinv here too
-    spectral_radius,
 )
 from .errors import DecompositionMismatchError, ShapeMismatchError
 from .splitting import ProperSplitting, _require_proper
@@ -32,7 +33,6 @@ __all__ = [
     "make_pds",
     "sign_residuals",
     "classify_double",
-    "companion_from_blocks",
     "iteration_matrix",
     "induced_single",
     "ConvergenceReport",
@@ -63,6 +63,10 @@ class ProperDoubleSplitting:
     def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(A^+, P^+)``, those of the induced splitting U = P."""
         return self._induced.pinvs(cfg)
+
+    def rowspace(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Read-only orthonormal basis of ``range(P^+)``, the induced splitting's."""
+        return self._induced.rowspace(cfg)
 
     def blocks(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(P^+ R, P^+ S)``, kept beside the induced splitting's own."""
@@ -110,18 +114,6 @@ def classify_double(
     return DoubleSplittingClass.PROPER_ONLY
 
 
-def companion_from_blocks(pr: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Assemble ``[[pr, -ps], [I, 0]]`` with exact identity and zero blocks."""
-    n = pr.shape[0]
-    if pr.shape != (n, n) or ps.shape != (n, n):
-        raise ShapeMismatchError("companion blocks must be square and equally sized")
-    w = np.zeros((2 * n, 2 * n))
-    w[:n, :n] = pr
-    w[:n, n:] = -ps
-    w[n:, :n] = np.eye(n)
-    return w
-
-
 def iteration_matrix(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray:
@@ -146,7 +138,10 @@ class ConvergenceReport:
     splitting is not at least weak regular, where no equivalence is claimed.
     ``guaranteed_convergent`` is True when A is semi-monotone and the class is
     weak regular or stronger, the hypotheses under which convergence is a
-    theorem; it is ``None`` when those hypotheses fail.
+    theorem; it is ``None`` when those hypotheses fail.  Both radii are taken
+    on the restriction to ``range(P^+)``: ``rho_w`` from the 2r x 2r companion
+    of ``V_r^T P^+R V_r`` and ``V_r^T P^+S V_r``, r = rank(P), which has the
+    nonzero spectrum of W.
     """
 
     splitting_class: DoubleSplittingClass
@@ -161,9 +156,12 @@ class ConvergenceReport:
 def check_convergence(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConvergenceReport:
+    """Classify d and take both radii on ``range(P^+)``: no 2n x 2n eigensolve
+    when rank(P) < n (see :class:`ConvergenceReport`)."""
     cls = classify_double(d, cfg)
-    rho_w = spectral_radius(iteration_matrix(d, cfg), cfg)
-    rho_induced = spectral_radius(induced_single(d).block(cfg), cfg)
+    basis = d.rowspace(cfg)
+    rho_w = _restricted_radius(basis, d.blocks(cfg), cfg)
+    rho_induced = _restricted_radius(basis, (induced_single(d).block(cfg),), cfg)
     semi = is_nonneg(d.pinvs(cfg)[0], cfg)
     converges = rho_w < 1.0
 

@@ -16,12 +16,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _pinv_rowspace,
     _rank_cutoff,
+    _restricted_radius,
     as_matrix,
     is_nonneg,
     max_abs_diff,
     pinv,
-    spectral_radius,
 )
 from .errors import HypothesisUnmetError, NotProperError, ShapeMismatchError
 
@@ -63,11 +64,21 @@ class ProperSplitting:
             self._memo[key] = mats
         return self._memo[key]
 
+    def _factors(self, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def make():
+            u_pinv, basis = _pinv_rowspace(self.u, cfg)
+            return as_matrix(pinv(self.a, cfg)), as_matrix(u_pinv), basis
+
+        return self._owned("pinvs", cfg, make)
+
     def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(A^+, U^+)``."""
-        return self._owned(
-            "pinvs", cfg, lambda: tuple(as_matrix(pinv(m, cfg)) for m in (self.a, self.u))
-        )
+        return self._factors(cfg)[:2]
+
+    def rowspace(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Read-only n x r orthonormal basis of ``range(U^+)``, U's kept right
+        singular vectors from the SVD that forms ``U^+``."""
+        return self._factors(cfg)[2]
 
     def block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
         """Read-only ``U^+ V``, the iteration matrix of the one-step scheme."""
@@ -126,9 +137,13 @@ class SemimonotoneEquivalenceReport:
 
     For a proper weak regular splitting the three predicates ``A^+ >= 0``,
     ``A^+ V >= 0`` and ``rho(U^+ V) < 1`` hold or fail together; ``agree``
-    records whether the computed verdicts actually did.
+    records whether the computed verdicts actually did.  ``splitting_class``
+    is the class the check found, so a caller needs no second
+    :func:`classify_single`; ``iteration_radius`` is taken on the r x r
+    restriction of ``U^+ V`` to ``range(U^+)``.
     """
 
+    splitting_class: SplittingClass
     a_pinv_nonneg: bool
     a_pinv_v_nonneg: bool
     iteration_radius: float
@@ -147,7 +162,7 @@ def check_semimonotone_equivalence(
     a_pinv = s.pinvs(cfg)[0]
     cond_semi = is_nonneg(a_pinv, cfg)
     cond_av = is_nonneg(a_pinv @ s.v, cfg)
-    rho = spectral_radius(s.block(cfg), cfg)
+    rho = _restricted_radius(s.rowspace(cfg), (s.block(cfg),), cfg)
     cond_rho = rho < 1.0
     agree = cond_semi == cond_av == cond_rho
-    return SemimonotoneEquivalenceReport(cond_semi, cond_av, rho, cond_rho, agree)
+    return SemimonotoneEquivalenceReport(cls, cond_semi, cond_av, rho, cond_rho, agree)

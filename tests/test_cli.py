@@ -8,6 +8,7 @@ import shlex
 import numpy as np
 import pytest
 
+from propersplit import cli, splitting
 from propersplit.cli import main
 from propersplit.comparison import TheoremId
 from propersplit.generators import comparison_pair
@@ -98,6 +99,25 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "class: ProperRegular" in out
         assert "three-way equivalence" in out
+
+    def test_single_classifies_once(self, ex2_files, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = splitting.classify_single
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "classify_single", counting)
+        monkeypatch.setattr(cli, "classify_single", counting, raising=False)
+        negated = tmp_path / "neg_a.mat"  # U = -A: proper, U^+ <= 0, so ProperOnly
+        write_matrix(negated, -read_matrix(ex2_files["a"]))
+        for u, tag in ((ex2_files["p1"], "ProperRegular"), (str(negated), "ProperOnly")):
+            for fmt in ("text", "json"):
+                calls.clear()
+                assert main(["classify", "single", ex2_files["a"], u, "--format", fmt]) == 0
+                assert tag in capsys.readouterr().out
+                assert len(calls) == 1
 
     def test_double_json(self, ex1_files, capsys):
         code = main(

@@ -13,9 +13,11 @@ from propersplit import (
     compare_regular_vs_weak,
     compare_weak_vs_regular,
     compare_weak_vs_weak,
+    companion_from_blocks,
     eigenvalues,
     iteration_matrix,
     make_pds,
+    spectral_radius,
 )
 from propersplit.generators import comparison_pair, regular_double
 
@@ -201,3 +203,37 @@ class TestReportMechanics:
         for theorem in TheoremId:
             d1, d2 = comparison_pair(rng, theorem, 4, 5, 2)
             assert count_svds(lambda: compare(theorem, d1, d2)) == 0
+
+
+class TestRestrictedRadii:
+    """compare takes rho1, rho2 on range(P_i^+); the full 2n x 2n companions
+    are the independent reference."""
+
+    def test_rank_deficient_pairs_match_the_full_companions(self, cfg):
+        rng = default_rng(57)
+        for theorem in TheoremId:
+            for m, n, rank in ((4, 5, 2), (6, 5, 3), (14, 12, 5)):
+                d1, d2 = comparison_pair(rng, theorem, m, n, rank, cfg)
+                rep = compare(theorem, d1, d2, cfg)
+                for rho, d in ((rep.rho1, d1), (rep.rho2, d2)):
+                    assert d.rowspace(cfg).shape[1] < n
+                    full = spectral_radius(iteration_matrix(d, cfg), cfg)
+                    assert abs(rho - full) <= 1e-12 * max(1.0, full)
+
+    def test_full_rank_pairs_are_bit_identical(self, cfg):
+        rng = default_rng(58)
+        for theorem in TheoremId:
+            d1, d2 = comparison_pair(rng, theorem, 6, 4, 4, cfg)
+            rep = compare(theorem, d1, d2, cfg)
+            assert rep.rho1 == spectral_radius(iteration_matrix(d1, cfg), cfg)
+            assert rep.rho2 == spectral_radius(iteration_matrix(d2, cfg), cfg)
+
+    def test_square_corollary_radii_are_bit_identical(self, cfg):
+        rng = default_rng(59)
+        for theorem in TheoremId:
+            d1, d2 = comparison_pair(rng, theorem, 4, 4, 4, cfg)
+            rep = compare(theorem, d1, d2, cfg, square_corollary=True)
+            for rho, d in ((rep.rho1, d1), (rep.rho2, d2)):
+                p_inv = np.linalg.inv(d.p)
+                w = companion_from_blocks(p_inv @ d.r, p_inv @ d.s)
+                assert rho == spectral_radius(w, cfg)

@@ -8,10 +8,13 @@ from propersplit import (
     ConvergenceReport,
     DecompositionMismatchError,
     DoubleSplittingClass,
+    TheoremId,
     ToleranceConfig,
     check_convergence,
+    check_semimonotone_equivalence,
     classify_double,
     classify_single,
+    compare,
     companion_from_blocks,
     induced_single,
     is_nonneg,
@@ -22,7 +25,13 @@ from propersplit import (
     solve_single,
     spectral_radius,
 )
-from propersplit.generators import nonneg_block_pair, weak_regular_double
+from propersplit.generators import (
+    comparison_pair,
+    nonneg_block_pair,
+    regular_double,
+    weak_regular_double,
+    weak_regular_single,
+)
 
 
 def identity_pds(n=2):
@@ -242,3 +251,119 @@ class TestOwnedPseudoinverses:
         assert not np.array_equal(pr, default_blocks[0])
         assert np.array_equal(induced_single(d).block(cfg), p_pinv @ (d.r - d.s))
         assert d.blocks()[0] is default_blocks[0]  # the default-cutoff blocks are kept
+
+    def test_rowspace_is_read_only_and_shared_with_the_induced_splitting(self):
+        d = weak_regular_double(default_rng(20), 6, 5, 3, rho=0.8, nullspace_mix=0.3)
+        q = d.rowspace()
+        assert q is induced_single(d).rowspace() is d.rowspace()
+        assert q.shape == (5, 3)
+        assert np.allclose(q.T @ q, np.eye(3), atol=1e-14)
+        assert np.allclose(q @ (q.T @ d.pinvs()[1]), d.pinvs()[1], atol=1e-14)
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+
+    def test_radii_factor_nothing_after_construction(self, count_svds):
+        rng = default_rng(21)
+        g = weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3)
+        d = make_pds(g.a, g.p, g.r, g.s)
+        assert count_svds(lambda: check_convergence(d)) == 0
+        assert count_svds(lambda: check_semimonotone_equivalence(induced_single(d))) == 0
+        pair = comparison_pair(rng, TheoremId.WEAK_VS_WEAK, 6, 5, 3)
+        d1, d2 = (make_pds(x.a, x.p, x.r, x.s) for x in pair)
+        assert count_svds(lambda: compare(TheoremId.WEAK_VS_WEAK, d1, d2)) == 0
+
+    def test_other_cutoff_gets_its_own_basis(self):
+        # as above: the relative cutoff 1e-3 drops P's second singular value
+        p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
+        r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
+        s = np.zeros((3, 2))
+        d = make_pds(p - r + s, p, r, s)
+        default = d.rowspace()
+        coarse = d.rowspace(ToleranceConfig(rank_rel_cutoff=1e-3))
+        assert default.shape == (2, 2) and coarse.shape == (2, 1)
+        assert np.array_equal(np.abs(coarse), [[1.0], [0.0]])
+        assert not coarse.flags.writeable
+        assert d.rowspace() is default and default.shape == (2, 2)
+
+
+def _radius_cases():
+    """Generated double splittings with rank(P) < n: weak regular, regular,
+    divergent (rho 1.05) and weak regular with a null-space mix."""
+    rng = default_rng(30)
+    cases = []
+    for m, n, rank in ((6, 5, 3), (5, 6, 2), (12, 10, 4), (30, 24, 12)):
+        cases.append(weak_regular_double(rng, m, n, rank, rho=0.9))
+        cases.append(regular_double(rng, m, n, rank, rho=0.7))
+        cases.append(weak_regular_double(rng, m, n, rank, rho=1.05))
+        cases.append(weak_regular_double(rng, m, n, rank, rho=0.95, nullspace_mix=0.3))
+    return cases
+
+
+def _close(restricted, full):
+    return abs(restricted - full) <= 1e-12 * max(1.0, full)
+
+
+class TestRestrictedRadius:
+    """Every radius is taken on range(P^+): the differential check against the
+    full 2n x 2n companion and the full n x n induced block."""
+
+    def test_radii_match_the_full_matrices(self):
+        for d in _radius_cases():
+            assert d.rowspace().shape[1] < d.a.shape[1]
+            rep = check_convergence(d)
+            s = induced_single(d)
+            assert _close(rep.rho_w, spectral_radius(iteration_matrix(d)))
+            assert _close(rep.rho_induced, spectral_radius(s.block()))
+            radius = check_semimonotone_equivalence(s).iteration_radius
+            assert _close(radius, spectral_radius(s.block()))
+
+    def test_single_splitting_radius_matches_the_full_block(self):
+        rng = default_rng(31)
+        for m, n, rank in ((6, 5, 3), (5, 6, 2), (20, 16, 8)):
+            for rho in (0.6, 1.3):
+                s = weak_regular_single(rng, m, n, rank, rho=rho)
+                radius = check_semimonotone_equivalence(s).iteration_radius
+                assert _close(radius, spectral_radius(s.block()))
+                assert abs(radius - rho) <= 1e-10
+
+    def test_spectrum_of_w_is_the_restricted_spectrum_plus_zeros(self):
+        rng = default_rng(32)
+        for d in (
+            weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3),
+            regular_double(rng, 5, 6, 2, rho=0.7),
+            weak_regular_double(rng, 8, 7, 2, rho=1.05),
+        ):
+            q = d.rowspace()
+            n, r = q.shape
+            pr, ps = d.blocks()
+            w_r = companion_from_blocks(q.T @ pr @ q, q.T @ ps @ q)
+            padded = np.concatenate([np.linalg.eigvals(w_r), np.zeros(2 * (n - r))])
+            full = list(np.linalg.eigvals(iteration_matrix(d)))
+            for z in sorted(padded, key=lambda x: (-abs(x), x.real, x.imag)):
+                j = int(np.argmin([abs(z - x) for x in full]))
+                # W is defective at 0 (2 x 2 Jordan blocks on the quotient), so
+                # its computed zero eigenvalues scatter by about sqrt(eps)
+                assert abs(z - full.pop(j)) <= (1e-10 if abs(z) > 1e-3 else 1e-6)
+            assert not full
+
+    def test_full_rank_radii_are_bit_identical(self):
+        rng = default_rng(33)
+        for rho in (0.5, 0.95, 1.05):
+            d = weak_regular_double(rng, 7, 5, 5, rho=rho, nullspace_mix=0.3)
+            assert d.rowspace().shape == (5, 5)
+            rep = check_convergence(d)
+            s = induced_single(d)
+            assert rep.rho_w == spectral_radius(iteration_matrix(d))
+            assert rep.rho_induced == spectral_radius(s.block())
+            assert check_semimonotone_equivalence(s).iteration_radius == spectral_radius(s.block())
+
+    def test_rank_zero_splitting_has_radius_zero(self):
+        zero = np.zeros((3, 2))
+        r = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 3.0]])
+        d = make_pds(zero, zero, r, r)
+        assert d.rowspace().shape == (2, 0)
+        rep = check_convergence(d)
+        assert rep.rho_w == rep.rho_induced == 0.0
+        assert rep.converges
+        assert check_semimonotone_equivalence(induced_single(d)).iteration_radius == 0.0
