@@ -14,6 +14,7 @@ rejects a starting point; the default start is the zero vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .splitting import ProperSplitting
 
 __all__ = ["OVERFLOW_GUARD", "IterationTrace", "min_norm_lsq", "solve_single", "solve_double"]
 
-# Iterate norms beyond this mark the run as diverged; the trace stays
-# inspectable instead of raising mid-run.
+# An iterate norm that is not <= this (NaN included) marks the run as
+# diverged; the trace stays inspectable instead of raising mid-run.
 OVERFLOW_GUARD = 1e12
 
 
@@ -57,66 +58,74 @@ def min_norm_lsq(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> bool:
-    return bool(np.linalg.norm(v_mat @ x) <= cfg.solve_tol * (1.0 + np.linalg.norm(x)))
-
-
-class _TailGuard:
-    """Geometric-tail estimate for a linearly converging iteration.
-
-    Near the limit the remaining error is about step * r / (1 - r) where r is
-    the contraction rate; stopping on the raw step alone leaves that tail
-    unpaid when r is close to 1.  The guard tracks a conservative rate
-    estimate (the largest of the last few step ratios) and admits a stop only
-    once the projected tail is itself below the tolerance.
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.ratios: list[float] = []
-        self.prev_step = np.inf
-
-    def update(self, step: float, scale: float) -> bool:
-        if self.prev_step > 0.0 and np.isfinite(self.prev_step):
-            self.ratios.append(min(step / self.prev_step, 0.9999))
-            del self.ratios[:-3]
-        self.prev_step = step
-        if step > self.tol:
-            return False
-        rate = max(self.ratios, default=0.0)
-        tail = step * rate / (1.0 - rate)
-        return tail <= 5.0 * self.tol * (1.0 + scale) + self.tol
+    """``|V x| <= solve_tol * (1 + |x|)``, with both sides scaled by a power of
+    two ``c``, which is exact: ``c = 1`` unless x has an entry of 2^500 or more,
+    where ``x @ x`` would overflow and the test would read ``inf <= inf``."""
+    exponent = math.frexp(float(np.max(np.abs(x))))[1]
+    c = math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
+    y = c * x
+    return bool(np.linalg.norm(v_mat @ y) <= cfg.solve_tol * (c + np.linalg.norm(y)))
 
 
 def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
-    """Run ``x_next = update(iterates)`` from the starting vector(s) ``start``.
+    """Run ``x_next = update(x_curr, x_prev)`` from the starting vector(s)
+    ``start`` (``x_prev`` is None for a one-step scheme).
 
-    A run stops on divergence, at ``cfg.max_iter``, or once the tail guard
-    admits a stop after ``need_small`` consecutive steps below the tolerance.
+    Each iteration does one update, one step norm ``|x_next - x_curr|`` and one
+    iterate norm ``|x_next|``, each the ``sqrt`` of a dot product, as
+    ``np.linalg.norm`` computes it.  A run stops:
+
+    * diverged, on an iterate whose norm is not <= ``OVERFLOW_GUARD``, which
+      includes an iterate with NaN or Inf entries (the loop's arithmetic runs
+      with overflow and invalid-operation warnings off, so none is raised);
+    * at ``cfg.max_iter``;
+    * or once ``need_small`` consecutive steps are <= ``cfg.solve_tol`` and the
+      geometric tail ``step * r / (1 - r)`` is itself below the tolerance.
+      The rate ``r`` is the largest of the last three step ratios, each capped
+      at 0.9999: near the limit the remaining error is about that tail, which
+      stopping on the raw step alone would leave unpaid when r is close to 1.
     """
+    tol = cfg.solve_tol
     iterates = [x.copy() for x in start]
+    x_prev = iterates[-2] if len(iterates) > 1 else None
+    x_curr = iterates[-1]
     residuals: list[float] = []
+    ratios: list[float] = []
+    prev_step = math.inf
     step_ok = diverged = False
-    guard = _TailGuard(cfg.solve_tol)
     small = 0
-    for _ in range(cfg.max_iter):
-        x_next = update(iterates)
-        step = float(np.linalg.norm(x_next - iterates[-1]))
-        iterates.append(x_next)
-        residuals.append(step)
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > OVERFLOW_GUARD:
-            diverged = True
-            break
-        small = small + 1 if step <= cfg.solve_tol else 0
-        if guard.update(step, float(np.linalg.norm(x_next))) and small >= need_small:
-            step_ok = True
-            break
-    limit = iterates[-1]
-    distance = float(np.linalg.norm(limit - reference))
-    converged = bool(
-        step_ok
-        and not diverged
-        and distance <= 10.0 * cfg.solve_tol * (1.0 + np.linalg.norm(reference))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iter):
+            x_next = update(x_curr, x_prev)
+            d = x_next - x_curr
+            step = math.sqrt(d.dot(d))
+            norm_next = math.sqrt(x_next.dot(x_next))
+            iterates.append(x_next)
+            residuals.append(step)
+            if not norm_next <= OVERFLOW_GUARD:
+                diverged = True
+                break
+            if 0.0 < prev_step < math.inf:
+                ratios.append(min(step / prev_step, 0.9999))
+                del ratios[:-3]
+            prev_step = step
+            if step > tol:
+                small = 0
+            else:
+                small += 1
+                rate = max(ratios, default=0.0)
+                tail = step * rate / (1.0 - rate)
+                if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
+                    step_ok = True
+                    break
+            x_prev, x_curr = x_curr, x_next
+        limit = iterates[-1]
+        distance = float(np.linalg.norm(limit - reference))
+        converged = bool(
+            step_ok
+            and not diverged
+            and distance <= 10.0 * tol * (1.0 + np.linalg.norm(reference))
+        )
     return IterationTrace(
         iterates=iterates,
         residual_history=residuals,
@@ -141,7 +150,7 @@ def solve_single(
     h = s.block(cfg)
     c = u_pinv @ b
     x0_flag = _in_nullspace(s.v, x, cfg)
-    return _iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
+    return _iterate(lambda x_curr, _: h.dot(x_curr) + c, [x], a_pinv @ b, 1, x0_flag, cfg)
 
 
 def solve_double(
@@ -164,7 +173,13 @@ def solve_double(
     a_pinv, p_pinv = d.pinvs(cfg)
     pr, ps = d.blocks(cfg)
     pb = p_pinv @ b
+
+    def update(x_curr, x_prev):
+        # in place, with the rounding of pr @ x_curr - ps @ x_prev + pb
+        x_next = pr.dot(x_curr)
+        x_next -= ps.dot(x_prev)
+        x_next += pb
+        return x_next
+
     x0_flag = _in_nullspace(induced_single(d).v, x_prev, cfg)
-    return _iterate(
-        lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
-    )
+    return _iterate(update, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg)

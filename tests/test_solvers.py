@@ -18,6 +18,7 @@ from propersplit import (
     spectral_radius,
 )
 from propersplit.generators import weak_regular_double
+from propersplit.solvers import OVERFLOW_GUARD, IterationTrace
 
 
 class TestMinNormLsq:
@@ -161,3 +162,231 @@ class TestSolveSingle:
         trace = solve_single(s, [1.0, 1.0])
         assert len(trace.residual_history) == trace.iterations_used
         assert len(trace.iterates) == trace.iterations_used + 1
+
+
+class TestOverflowingStart:
+    """A finite start whose squared norm overflows gives a diverged trace,
+    not a RuntimeWarning (which pytest turns into an error here)."""
+
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_double(self, big):
+        d = weak_regular_double(default_rng(44), 6, 5, 3, rho=0.9)
+        x = np.full(5, big)
+        trace = solve_double(d, np.ones(6), x0=x, x1=x)
+        assert trace.diverged and not trace.converged
+        assert trace.iterations_used == 1
+        assert not trace.x0_in_nullspace_v
+
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_single(self, big):
+        s = induced_single(weak_regular_double(default_rng(45), 6, 5, 3, rho=0.9))
+        trace = solve_single(s, np.ones(6), x0=np.full(5, big))
+        assert trace.diverged and not trace.converged
+        assert trace.iterations_used == 1
+        assert not trace.x0_in_nullspace_v
+
+    def test_nan_iterate_is_diverged(self):
+        # P^+R x1 - P^+S x0 = inf - inf = NaN: an iterate whose norm is NaN,
+        # not a finite norm above the guard
+        eye = np.eye(2)
+        d = make_pds(eye, eye, 2.0 * eye, 2.0 * eye)
+        x = np.full(2, 1e308)
+        trace = solve_double(d, [1.0, 1.0], x0=x, x1=x)
+        assert np.isnan(trace.limit).all()
+        assert trace.diverged and not trace.converged
+        assert trace.iterations_used == 1
+
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_huge_start_in_the_null_space_is_flagged(self, big):
+        # null(A) lies in null(V) for a proper splitting
+        d = weak_regular_double(default_rng(46), 6, 5, 3, rho=0.9)
+        null_vec = np.linalg.svd(d.a)[2][-1]
+        assert np.max(np.abs(d.a @ null_vec)) <= 1e-12
+        trace = solve_double(d, np.ones(6), x0=big * null_vec)
+        assert trace.x0_in_nullspace_v
+        assert solve_single(induced_single(d), np.ones(6), x0=big * null_vec).x0_in_nullspace_v
+
+
+# The solver loop as it was before it took one step norm and one iterate norm
+# per iteration: three np.linalg.norm calls and an np.isfinite pass per step,
+# and the tail guard as a class.  Kept verbatim as the oracle that the current
+# loop must match bit for bit.
+
+def _reference_in_nullspace(v_mat, x, cfg):
+    return bool(np.linalg.norm(v_mat @ x) <= cfg.solve_tol * (1.0 + np.linalg.norm(x)))
+
+
+class _TailGuard:
+    """Geometric-tail estimate for a linearly converging iteration.
+
+    Near the limit the remaining error is about step * r / (1 - r) where r is
+    the contraction rate; stopping on the raw step alone leaves that tail
+    unpaid when r is close to 1.  The guard tracks a conservative rate
+    estimate (the largest of the last few step ratios) and admits a stop only
+    once the projected tail is itself below the tolerance.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.ratios: list[float] = []
+        self.prev_step = np.inf
+
+    def update(self, step: float, scale: float) -> bool:
+        if self.prev_step > 0.0 and np.isfinite(self.prev_step):
+            self.ratios.append(min(step / self.prev_step, 0.9999))
+            del self.ratios[:-3]
+        self.prev_step = step
+        if step > self.tol:
+            return False
+        rate = max(self.ratios, default=0.0)
+        tail = step * rate / (1.0 - rate)
+        return tail <= 5.0 * self.tol * (1.0 + scale) + self.tol
+
+
+def _reference_iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
+    """Run ``x_next = update(iterates)`` from the starting vector(s) ``start``.
+
+    A run stops on divergence, at ``cfg.max_iter``, or once the tail guard
+    admits a stop after ``need_small`` consecutive steps below the tolerance.
+    """
+    iterates = [x.copy() for x in start]
+    residuals: list[float] = []
+    step_ok = diverged = False
+    guard = _TailGuard(cfg.solve_tol)
+    small = 0
+    for _ in range(cfg.max_iter):
+        x_next = update(iterates)
+        step = float(np.linalg.norm(x_next - iterates[-1]))
+        iterates.append(x_next)
+        residuals.append(step)
+        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > OVERFLOW_GUARD:
+            diverged = True
+            break
+        small = small + 1 if step <= cfg.solve_tol else 0
+        if guard.update(step, float(np.linalg.norm(x_next))) and small >= need_small:
+            step_ok = True
+            break
+    limit = iterates[-1]
+    distance = float(np.linalg.norm(limit - reference))
+    converged = bool(
+        step_ok
+        and not diverged
+        and distance <= 10.0 * cfg.solve_tol * (1.0 + np.linalg.norm(reference))
+    )
+    return IterationTrace(
+        iterates=iterates,
+        residual_history=residuals,
+        converged=converged,
+        iterations_used=len(residuals),
+        limit=limit,
+        reference_solution=reference,
+        distance_to_reference=distance,
+        diverged=diverged,
+        x0_in_nullspace_v=x0_flag,
+    )
+
+
+def _reference_solve_single(s, b, x0, cfg):
+    x = np.zeros(s.a.shape[1]) if x0 is None else np.array(x0, dtype=float)
+    a_pinv, u_pinv = s.pinvs(cfg)
+    h = s.block(cfg)
+    c = u_pinv @ b
+    x0_flag = _reference_in_nullspace(s.v, x, cfg)
+    return _reference_iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
+
+
+def _reference_solve_double(d, b, x0, x1, cfg):
+    n = d.a.shape[1]
+    x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x_curr = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
+    a_pinv, p_pinv = d.pinvs(cfg)
+    pr, ps = d.blocks(cfg)
+    pb = p_pinv @ b
+    x0_flag = _reference_in_nullspace(induced_single(d).v, x_prev, cfg)
+    return _reference_iterate(
+        lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
+    )
+
+
+def _trace_bits(t):
+    return (
+        [x.tobytes() for x in t.iterates],
+        [float(r).hex() for r in t.residual_history],
+        t.converged,
+        t.iterations_used,
+        t.limit.tobytes(),
+        t.reference_solution.tobytes(),
+        float(t.distance_to_reference).hex(),
+        t.diverged,
+        t.x0_in_nullspace_v,
+    )
+
+
+_LOOP_CONFIGS = {
+    "default": ToleranceConfig(),
+    "max_iter=5": ToleranceConfig(max_iter=5),
+    "solve_tol=0": ToleranceConfig(solve_tol=0.0, max_iter=300),
+    "solve_tol=1e-6": ToleranceConfig(solve_tol=1e-6),
+}
+
+
+class TestLoopMatchesReference:
+    """Differential: every trace field is bit-identical to the reference loop's,
+    for convergent and divergent radii, m < n and m > n, max_iter exhaustion,
+    solve_tol = 0, and zero or random starting vectors."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.95, 0.99, 1.05, 3.0])
+    @pytest.mark.parametrize("shape", [(6, 5, 3), (5, 6, 2), (12, 10, 6)])
+    def test_bit_identical_traces(self, shape, rho):
+        m, n, rank = shape
+        rng = default_rng(int(1000 * rho) + 7 * m + n)
+        d = weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3)
+        s = induced_single(d)
+        b = rng.uniform(0.5, 1.5, m)
+        x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
+        outcomes = set()
+        for cfg in _LOOP_CONFIGS.values():
+            for start0, start1 in ((None, None), (x0, x1)):
+                got = solve_double(d, b, x0=start0, x1=start1, cfg=cfg)
+                want = _reference_solve_double(d, b, start0, start1, cfg)
+                assert _trace_bits(got) == _trace_bits(want)
+                got = solve_single(s, b, x0=start0, cfg=cfg)
+                want = _reference_solve_single(s, b, start0, cfg)
+                assert _trace_bits(got) == _trace_bits(want)
+                outcomes.add((got.converged, got.diverged, got.iterations_used == cfg.max_iter))
+        # each case reaches at least two different stops across the configs
+        assert len(outcomes) >= 2
+
+    @pytest.mark.parametrize("rho", [0.9, 0.99, 1.05])
+    def test_bit_identical_traces_with_a_complex_spectrum(self, rho):
+        # square splittings with random, nonnormal iteration matrices: complex
+        # eigenvalues make the step ratios oscillate, so the rate estimate (the
+        # largest of the last three ratios) decides when the tail guard stops
+        rng = default_rng(int(100 * rho))
+        n = 6
+        eye = np.eye(n)
+        g_r, g_s = rng.standard_normal((2, n, n))
+
+        def scaled(t):  # P = I, R = t G_R, S = t G_S
+            return make_pds(eye - t * (g_r - g_s), eye, t * g_r, t * g_s)
+
+        lo, hi = 0.0, 1.0
+        while spectral_radius(iteration_matrix(scaled(hi))) < rho:
+            hi *= 2.0
+        for _ in range(60):  # bisect the scale t for rho(W) = rho
+            d = scaled(0.5 * (lo + hi))
+            if spectral_radius(iteration_matrix(d)) < rho:
+                lo = 0.5 * (lo + hi)
+            else:
+                hi = 0.5 * (lo + hi)
+        s = make_proper_splitting(d.a, eye)
+        b = rng.uniform(0.5, 1.5, n)
+        x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
+        for cfg in (_LOOP_CONFIGS["default"], _LOOP_CONFIGS["solve_tol=1e-6"]):
+            for start0, start1 in ((None, None), (x0, x1)):
+                got = solve_double(d, b, x0=start0, x1=start1, cfg=cfg)
+                want = _reference_solve_double(d, b, start0, start1, cfg)
+                assert _trace_bits(got) == _trace_bits(want)
+                got = solve_single(s, b, x0=start0, cfg=cfg)
+                want = _reference_solve_single(s, b, start0, cfg)
+                assert _trace_bits(got) == _trace_bits(want)
