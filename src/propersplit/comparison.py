@@ -126,12 +126,12 @@ def compare(
         notes.append("square corollary mode: A is invertible, classical inverse used")
         a_inv, p1_inv, p2_inv = (np.linalg.inv(x) for x in (a, d1.p, d2.p))
         pr1, ps1, pr2, ps2 = p1_inv @ d1.r, p1_inv @ d1.s, p2_inv @ d2.r, p2_inv @ d2.s
-        restricted1, restricted2 = (pr1, ps1), (pr2, ps2)  # full companions
+        basis1 = basis2 = np.eye(a.shape[1])  # the whole space: full companions
     else:
         a_inv, p1_inv = d1.pinvs(cfg)
         p2_inv = d2.pinvs(cfg)[1]
         (pr1, ps1), (pr2, ps2) = d1.blocks(cfg), d2.blocks(cfg)
-        restricted1, restricted2 = d1.restricted_blocks(cfg), d2.restricted_blocks(cfg)
+        basis1, basis2 = d1.rowspace(cfg), d2.rowspace(cfg)
     regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s, pr1, ps1)
     regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s, pr2, ps2)
 
@@ -192,8 +192,8 @@ def compare(
     else:
         branch_used = Branch.NEITHER
 
-    rho1 = _restricted_radius(restricted1, cfg)
-    rho2 = _restricted_radius(restricted2, cfg)
+    rho1 = _restricted_radius(basis1, (pr1, ps1), cfg)
+    rho2 = _restricted_radius(basis2, (pr2, ps2), cfg)
 
     required_ok = all(
         v.passed for v in verdicts if v.label not in (branch_i.label, branch_ii.label, "R1 >= R2")

@@ -287,29 +287,22 @@ def spectral_radius(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def _restrict(basis: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
-    """Each block B, which maps into ``range(basis)``, in the coordinates of
-    ``basis`` (n x r, orthonormal columns): the r x r ``Q^T B Q`` for Q = basis,
-    or B itself when r = n.
+def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float:
+    """Spectral radius of ``blocks[0]`` alone, or of the companion
+    :func:`companion_from_blocks` of two blocks, where every block maps into
+    ``range(basis)`` and ``basis`` (n x r) has orthonormal columns.
 
-    With B = Q Q^T B, ``range(Q)`` (one block) or ``range(Q) + range(Q)``
-    (the companion :func:`companion_from_blocks` of two blocks) is invariant
-    and the map is nilpotent on the quotient: the spectrum is that of the
-    restricted block, or of the 2r x 2r companion of the restricted blocks,
-    plus zeros.
+    With Q = basis each block B satisfies B = Q Q^T B, so ``range(Q)`` (one
+    block) or ``range(Q) + range(Q)`` (companion) is invariant and the map is
+    nilpotent on the quotient: the spectrum is that of the r x r ``Q^T B Q``,
+    or of the 2r x 2r companion of the ``Q^T B_i Q``, plus zeros.  r = n takes
+    the radius of the full matrix; r = 0 gives 0.0 without an eigensolve.
     """
     n, r = basis.shape
-    if r == n:
-        return tuple(blocks)
-    return tuple(basis.T @ (b @ basis) for b in blocks)
-
-
-def _restricted_radius(blocks, cfg: ToleranceConfig) -> float:
-    """Spectral radius of ``blocks[0]`` alone, or of the companion of two
-    blocks, as :func:`_restrict` returns them; r = 0 gives 0.0 without an
-    eigensolve."""
-    if blocks[0].shape[0] == 0:
+    if r == 0:
         return 0.0
+    if r < n:
+        blocks = [basis.T @ (b @ basis) for b in blocks]
     m = blocks[0] if len(blocks) == 1 else companion_from_blocks(*blocks)
     return spectral_radius(m, cfg)
 

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    _restrict,
     _restricted_radius,
     as_matrix,
     companion_from_blocks,
@@ -73,18 +72,6 @@ class ProperDoubleSplitting:
         """Read-only ``(P^+ R, P^+ S)``, kept beside the induced splitting's own."""
         p_pinv = self.pinvs(cfg)[1]
         return self._induced._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
-
-    def restricted_blocks(
-        self, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only r x r ``(V_r^T P^+R V_r, V_r^T P^+S V_r)`` on ``range(P^+)``;
-        their 2r x 2r companion has the nonzero spectrum of W (the blocks
-        themselves when r = n)."""
-        return self._induced._owned(
-            "V_r^T P^+R V_r, V_r^T P^+S V_r",
-            cfg,
-            lambda: _restrict(self.rowspace(cfg), self.blocks(cfg)),
-        )
 
 
 def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDoubleSplitting:
@@ -172,8 +159,9 @@ def check_convergence(
     """Classify d and take both radii on ``range(P^+)``: no 2n x 2n eigensolve
     when rank(P) < n (see :class:`ConvergenceReport`)."""
     cls = classify_double(d, cfg)
-    rho_w = _restricted_radius(d.restricted_blocks(cfg), cfg)
-    rho_induced = _restricted_radius((induced_single(d).restricted_block(cfg),), cfg)
+    basis = d.rowspace(cfg)
+    rho_w = _restricted_radius(basis, d.blocks(cfg), cfg)
+    rho_induced = _restricted_radius(basis, (induced_single(d).block(cfg),), cfg)
     semi = is_nonneg(d.pinvs(cfg)[0], cfg)
     converges = rho_w < 1.0
 

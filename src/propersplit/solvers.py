@@ -58,13 +58,20 @@ def min_norm_lsq(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """``|V x| <= solve_tol * (1 + |x|)``, with both sides scaled by a power of
-    two ``c``, which is exact: ``c = 1`` unless x has an entry of 2^500 or more,
-    where ``x @ x`` would overflow and the test would read ``inf <= inf``."""
-    exponent = math.frexp(float(np.max(np.abs(x))))[1]
-    c = math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
-    y = c * x
-    return bool(np.linalg.norm(v_mat @ y) <= cfg.solve_tol * (c + np.linalg.norm(y)))
+    """``|V x| <= solve_tol * (1 + |x|)``.  Where ``V x`` or a squared norm
+    overflows, x and V are first divided by powers of two ``2^e`` and ``2^f``
+    at their largest entries, which is exact, so that ``|V x|`` stays finite;
+    the test is then divided by ``2^(e + f)``."""
+    tol = cfg.solve_tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, norm_x = np.linalg.norm(v_mat @ x), np.linalg.norm(x)
+        if math.isfinite(lhs) and math.isfinite(norm_x):
+            return bool(lhs <= tol * (1.0 + norm_x))
+        e = math.frexp(np.max(np.abs(x)))[1]
+        f = math.frexp(np.max(np.abs(v_mat)))[1]
+        y = np.ldexp(x, -e)
+        lhs = np.linalg.norm(np.ldexp(v_mat, -f) @ y)
+        return bool(lhs <= tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
 
 
 def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:

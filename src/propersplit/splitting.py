@@ -18,7 +18,6 @@ from .core import (
     ToleranceConfig,
     _pinv_rowspace,
     _rank_cutoff,
-    _restrict,
     _restricted_radius,
     as_matrix,
     is_nonneg,
@@ -84,13 +83,6 @@ class ProperSplitting:
     def block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
         """Read-only ``U^+ V``, the iteration matrix of the one-step scheme."""
         return self._owned("U^+V", cfg, lambda: (self.pinvs(cfg)[1] @ self.v,))[0]
-
-    def restricted_block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-        """Read-only r x r ``V_r^T U^+V V_r`` on ``range(U^+)``, whose spectrum
-        is the nonzero spectrum of ``U^+V`` (``U^+V`` itself when r = n)."""
-        return self._owned(
-            "V_r^T U^+V V_r", cfg, lambda: _restrict(self.rowspace(cfg), (self.block(cfg),))
-        )[0]
 
 
 def _require_proper(s: ProperSplitting, cfg: ToleranceConfig) -> None:
@@ -170,7 +162,7 @@ def check_semimonotone_equivalence(
     a_pinv = s.pinvs(cfg)[0]
     cond_semi = is_nonneg(a_pinv, cfg)
     cond_av = is_nonneg(a_pinv @ s.v, cfg)
-    rho = _restricted_radius((s.restricted_block(cfg),), cfg)
+    rho = _restricted_radius(s.rowspace(cfg), (s.block(cfg),), cfg)
     cond_rho = rho < 1.0
     agree = cond_semi == cond_av == cond_rho
     return SemimonotoneEquivalenceReport(cls, cond_semi, cond_av, rho, cond_rho, agree)

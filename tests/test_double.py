@@ -25,7 +25,6 @@ from propersplit import (
     solve_single,
     spectral_radius,
 )
-from propersplit import comparison, core, double, splitting
 from propersplit.generators import (
     comparison_pair,
     nonneg_block_pair,
@@ -286,42 +285,6 @@ class TestOwnedPseudoinverses:
         assert np.array_equal(np.abs(coarse), [[1.0], [0.0]])
         assert not coarse.flags.writeable
         assert d.rowspace() is default and default.shape == (2, 2)
-
-    def test_radii_are_built_from_the_owned_restricted_blocks(self, monkeypatch):
-        seen = []
-
-        def spy(blocks, cfg):
-            seen.append(tuple(blocks))
-            return core._restricted_radius(blocks, cfg)
-
-        for module in (double, splitting, comparison):
-            monkeypatch.setattr(module, "_restricted_radius", spy)
-        rng = default_rng(22)
-        d = weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3)
-        s = induced_single(d)
-        d1, d2 = comparison_pair(rng, TheoremId.WEAK_VS_WEAK, 6, 5, 3)
-        cases = (
-            (lambda: check_convergence(d), [d.restricted_blocks(), (s.restricted_block(),)]),
-            (lambda: check_semimonotone_equivalence(s), [(s.restricted_block(),)]),
-            (
-                lambda: compare(TheoremId.WEAK_VS_WEAK, d1, d2),
-                [d1.restricted_blocks(), d2.restricted_blocks()],
-            ),
-        )
-        for call, owned in cases:
-            reports = []
-            for _ in range(2):
-                seen.clear()
-                reports.append(call())
-                assert len(seen) == len(owned)
-                for used, kept in zip(seen, owned):
-                    assert all(u is k and not k.flags.writeable for u, k in zip(used, kept))
-            assert reports[0] == reports[1]
-        q = d.rowspace()
-        assert q.shape == (5, 3)
-        for restricted, block in zip(d.restricted_blocks(), d.blocks()):
-            assert restricted.shape == (3, 3)
-            assert restricted.tobytes() == (q.T @ (block @ q)).tobytes()
 
 
 def _radius_cases():

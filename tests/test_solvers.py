@@ -206,6 +206,17 @@ class TestOverflowingStart:
         assert trace.x0_in_nullspace_v
         assert solve_single(induced_single(d), np.ones(6), x0=big * null_vec).x0_in_nullspace_v
 
+    @pytest.mark.parametrize("big", [1e150, 1e200])
+    def test_large_v_times_a_large_start(self, big):
+        # entries near 1e4 in V: |V x| overflows although |x| does not (1e150)
+        d0 = weak_regular_double(default_rng(47), 6, 5, 3, rho=0.9)
+        d = make_pds(*(1e4 * m for m in (d0.a, d0.p, d0.r, d0.s)))
+        s = induced_single(d)
+        null_vec = np.linalg.svd(d0.a)[2][-1]
+        for x, in_null in ((np.full(5, big), False), (big * null_vec, True)):
+            assert solve_double(d, np.ones(6), x0=x).x0_in_nullspace_v is in_null
+            assert solve_single(s, np.ones(6), x0=x).x0_in_nullspace_v is in_null
+
 
 # The solver loop as it was before it took one step norm and one iterate norm
 # per iteration: three np.linalg.norm calls and an np.isfinite pass per step,
