@@ -25,7 +25,8 @@ __all__ = [
 
 def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
     rows_needed = cols_needed = None
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
+    linenos: list[int] = []  # the line number of each row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -45,26 +46,42 @@ def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
                     f"{name}:{lineno}: dimensions must be positive, got {rows_needed} {cols_needed}"
                 )
             continue
+        # finiteness is tested once, at the end, so a non-finite value on an
+        # earlier line is looked for before any fault on this one is reported
         if len(rows) == rows_needed:
+            _finite_rows(rows, linenos, name)
             raise MatrixFormatError(f"{name}:{lineno}: more than {rows_needed} data rows")
         if len(tokens) != cols_needed:
+            _finite_rows(rows, linenos, name)
             raise MatrixFormatError(
                 f"{name}:{lineno}: expected {cols_needed} values, got {len(tokens)}"
             )
         try:
-            row = [float(t) for t in tokens]
+            # numpy's string cast accepts and rejects the same tokens as float()
+            rows.append(np.array(tokens, dtype=float))
         except ValueError as exc:
+            _finite_rows(rows, linenos, name)
             raise MatrixFormatError(f"{name}:{lineno}: unparseable number in {raw!r}") from exc
-        if not all(np.isfinite(row)):
-            raise MatrixFormatError(f"{name}:{lineno}: non-finite value")
-        rows.append(row)
+        linenos.append(lineno)
     if rows_needed is None:
         raise MatrixFormatError(f"{name}: no header line found")
+    matrix = _finite_rows(rows, linenos, name)
     if len(rows) != rows_needed:
         raise MatrixFormatError(
             f"{name}: header promises {rows_needed} rows, found {len(rows)}"
         )
-    return np.array(rows, dtype=float)
+    return matrix
+
+
+def _finite_rows(rows: list[np.ndarray], linenos: list[int], name: str) -> np.ndarray:
+    """The rows stacked into one array, or the error naming the first line
+    that holds a non-finite value."""
+    matrix = np.array(rows, dtype=float)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        first = int(np.argmin(finite.all(axis=-1)))
+        raise MatrixFormatError(f"{name}:{linenos[first]}: non-finite value")
+    return matrix
 
 
 def read_matrix(path) -> np.ndarray:
@@ -86,8 +103,9 @@ def format_matrix(a, comments=()) -> str:
         a = a.reshape(-1, 1)
     lines = [f"# {c}" for c in comments]
     lines.append(f"{a.shape[0]} {a.shape[1]}")
-    for row in a:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    # Python floats format faster than numpy scalars; one row at a time keeps
+    # the temporaries small
+    lines.extend(" ".join([f"{x:.17g}" for x in row.tolist()]) for row in a)
     return "\n".join(lines) + "\n"
 
 

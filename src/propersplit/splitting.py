@@ -139,8 +139,11 @@ class SemimonotoneEquivalenceReport:
     ``A^+ V >= 0`` and ``rho(U^+ V) < 1`` hold or fail together; ``agree``
     records whether the computed verdicts actually did.  ``splitting_class``
     is the class the check found, so a caller needs no second
-    :func:`classify_single`; ``iteration_radius`` is taken on the r x r
-    restriction of ``U^+ V`` to ``range(U^+)``.
+    :func:`classify_single`.  When 0 < r < n, r = rank(U),
+    ``iteration_radius`` is the midpoint of a Collatz-Wielandt bracket from
+    power iteration on the n x n ``U^+ V`` when ``U^+ V >= 0`` holds exactly,
+    and otherwise is taken on the r x r restriction of ``U^+ V`` to
+    ``range(U^+)`` (see ``core._restricted_radius``).
     """
 
     splitting_class: SplittingClass
