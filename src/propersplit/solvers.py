@@ -74,12 +74,21 @@ def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> boo
         return bool(lhs <= tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
 
 
-def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
-    """Run ``x_next = update(x_curr, x_prev)`` from the starting vector(s)
-    ``start`` (``x_prev`` is None for a one-step scheme).
+# Updates run back to back into blocks of this many rows; the norms and the
+# stop-rule scan then run once per block.  At most _CHUNK - 1 rows past a stop
+# are computed and discarded, so a larger block wastes more on short runs.
+_CHUNK = 64
 
-    Each iteration does one update, one step norm ``|x_next - x_curr|`` and one
-    iterate norm ``|x_next|``, each the ``sqrt`` of a dot product, as
+
+def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
+    """Run ``update(row, x_curr, x_prev)``, which writes the next iterate into
+    ``row``, from the starting vector(s) ``start`` (``x_prev`` is None for a
+    one-step scheme).
+
+    The loop works in chunks of up to ``_CHUNK`` rows.  It first runs the
+    updates back to back into a fresh ``(k, n)`` block.  It then takes every
+    step norm ``|x_next - x_curr|`` and every iterate norm ``|x_next|`` of the
+    block at once, each the ``sqrt`` of a per-row dot product, as
     ``np.linalg.norm`` computes it.  A run stops:
 
     * diverged, on an iterate whose norm is not <= ``OVERFLOW_GUARD``, which
@@ -91,6 +100,13 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
       The rate ``r`` is the largest of the last three step ratios, each capped
       at 0.9999: near the limit the remaining error is about that tail, which
       stopping on the raw step alone would leave unpaid when r is close to 1.
+
+    A row whose step is > ``cfg.solve_tol`` and whose norm is <=
+    ``OVERFLOW_GUARD`` can neither stop the run nor count as small, so the
+    rules above run only at the other rows; the rows between them only reset
+    the small-step count and feed the ratio window.  Rows computed after the
+    stopping row are discarded: the trace holds ``iterations_used`` iterates
+    after the start.
     """
     tol = cfg.solve_tol
     iterates = [x.copy() for x in start]
@@ -101,31 +117,56 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     prev_step = math.inf
     step_ok = diverged = False
     small = 0
+    left = cfg.max_iter
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_iter):
-            x_next = update(x_curr, x_prev)
-            d = x_next - x_curr
-            step = math.sqrt(d.dot(d))
-            norm_next = math.sqrt(x_next.dot(x_next))
-            iterates.append(x_next)
-            residuals.append(step)
-            if not norm_next <= OVERFLOW_GUARD:
-                diverged = True
-                break
-            if 0.0 < prev_step < math.inf:
-                ratios.append(min(step / prev_step, 0.9999))
+        while left > 0 and not (step_ok or diverged):
+            rows = np.empty((min(_CHUNK, left), x_curr.size))
+            before = x_curr
+            for row in rows:
+                update(row, x_curr, x_prev)
+                x_prev, x_curr = x_curr, row
+            diff = np.empty_like(rows)
+            np.subtract(rows[0], before, out=diff[0])
+            np.subtract(rows[1:], rows[:-1], out=diff[1:])
+            # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
+            step_arr = np.sqrt(np.vecdot(diff, diff))
+            norms = np.sqrt(np.vecdot(rows, rows))
+            flagged = np.flatnonzero(~((step_arr > tol) & (norms <= OVERFLOW_GUARD)))
+            steps = step_arr.tolist()
+            used = lo = 0
+            for j in flagged.tolist() + [len(steps)]:
+                # rows lo..j-1 are plain; row j, if any, is flagged
+                seg = steps[lo : j + 1]
+                residuals.extend(seg)
+                used = lo + len(seg)
+                if j < len(steps) and not norms[j] <= OVERFLOW_GUARD:
+                    diverged = True
+                    break
+                # each step ratio is taken when the step before it is positive
+                # and finite; a plain step is both, except the first step of a
+                # run, which follows prev_step = inf, so the last three pairs
+                # decide the window
+                window = ([prev_step] + seg)[-4:]
+                for prev, step in zip(window, window[1:]):
+                    if 0.0 < prev < math.inf:
+                        ratios.append(min(step / prev, 0.9999))
                 del ratios[:-3]
-            prev_step = step
-            if step > tol:
-                small = 0
-            else:
+                prev_step = window[-1]
+                if j > lo:
+                    small = 0
+                if j == len(steps):
+                    break
+                # a flagged row with a finite norm has a step <= tol
                 small += 1
                 rate = max(ratios, default=0.0)
-                tail = step * rate / (1.0 - rate)
-                if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
+                tail = prev_step * rate / (1.0 - rate)
+                if tail <= 5.0 * tol * (1.0 + float(norms[j])) + tol and small >= need_small:
                     step_ok = True
                     break
-            x_prev, x_curr = x_curr, x_next
+                lo = j + 1
+            # a copy, so that the rows computed past a stop are freed
+            iterates.extend(rows if used == len(rows) else rows[:used].copy())
+            left -= used
         limit = iterates[-1]
         distance = float(np.linalg.norm(limit - reference))
         converged = bool(
@@ -157,7 +198,13 @@ def solve_single(
     h = s.block(cfg)
     c = u_pinv @ b
     x0_flag = _in_nullspace(s.v, x, cfg)
-    return _iterate(lambda x_curr, _: h.dot(x_curr) + c, [x], a_pinv @ b, 1, x0_flag, cfg)
+
+    def update(row, x_curr, _):
+        # in place, with the rounding of h @ x_curr + c
+        h.dot(x_curr, out=row)
+        row += c
+
+    return _iterate(update, [x], a_pinv @ b, 1, x0_flag, cfg)
 
 
 def solve_double(
@@ -181,12 +228,11 @@ def solve_double(
     pr, ps = d.blocks(cfg)
     pb = p_pinv @ b
 
-    def update(x_curr, x_prev):
+    def update(row, x_curr, x_prev):
         # in place, with the rounding of pr @ x_curr - ps @ x_prev + pb
-        x_next = pr.dot(x_curr)
-        x_next -= ps.dot(x_prev)
-        x_next += pb
-        return x_next
+        pr.dot(x_curr, out=row)
+        row -= ps.dot(x_prev)
+        row += pb
 
     x0_flag = _in_nullspace(induced_single(d).v, x_prev, cfg)
     return _iterate(update, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg)

@@ -17,8 +17,9 @@ from propersplit import (
     solve_single,
     spectral_radius,
 )
+from propersplit.double import ProperDoubleSplitting
 from propersplit.generators import weak_regular_double
-from propersplit.solvers import OVERFLOW_GUARD, IterationTrace
+from propersplit.solvers import _CHUNK, OVERFLOW_GUARD, IterationTrace, _iterate
 
 
 class TestMinNormLsq:
@@ -401,3 +402,132 @@ class TestLoopMatchesReference:
                 got = solve_single(s, b, x0=start0, cfg=cfg)
                 want = _reference_solve_single(s, b, start0, cfg)
                 assert _trace_bits(got) == _trace_bits(want)
+
+
+def _matches_reference(split, b, starts, cfg):
+    """The trace of ``solve_double`` (or ``solve_single``, taking ``starts[0]``),
+    after checking it bit for bit against the reference loop and checking that
+    it holds exactly ``iterations_used`` iterates after its start."""
+    if isinstance(split, ProperDoubleSplitting):
+        got = solve_double(split, b, *starts, cfg=cfg)
+        want = _reference_solve_double(split, b, *starts, cfg)
+        n_start = 2
+    else:
+        got = solve_single(split, b, starts[0], cfg=cfg)
+        want = _reference_solve_single(split, b, starts[0], cfg)
+        n_start = 1
+    assert _trace_bits(got) == _trace_bits(want)
+    assert len(got.iterates) == got.iterations_used + n_start
+    return got
+
+
+def _slow_pair(seed, rho):
+    """A weak regular 6x5 rank 3 double splitting, its induced single
+    splitting, a right-hand side and a random pair of starts."""
+    rng = default_rng(seed)
+    d = weak_regular_double(rng, 6, 5, 3, rho=rho, nullspace_mix=0.3)
+    return d, induced_single(d), rng.uniform(0.5, 1.5, 6), tuple(rng.standard_normal((2, 5)))
+
+
+class TestChunkBoundaries:
+    """Differential, at the edges of the solver loop's blocks of ``_CHUNK``
+    rows: every trace field is bit-identical to the reference loop's, and a
+    trace holds ``iterations_used`` iterates after its start, for a stop at
+    ``max_iter``, on divergence and on convergence."""
+
+    @pytest.mark.parametrize("max_iter", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("solve_tol", [1e-10, 0.0])
+    def test_max_iter_at_a_block_edge(self, max_iter, solve_tol):
+        d, s, b, starts = _slow_pair(5, 0.99)
+        cfg = ToleranceConfig(solve_tol=solve_tol, max_iter=max_iter)
+        for split in (d, s):
+            for x in ((None, None), starts):
+                trace = _matches_reference(split, b, x, cfg)
+                assert trace.iterations_used == max_iter
+                assert not (trace.converged or trace.diverged)
+
+    @pytest.mark.parametrize("at", [_CHUNK, _CHUNK + 1, 2 * _CHUNK])
+    def test_divergence_at_a_block_edge(self, at):
+        # x_{k+1} = diag(2, 1/2) x_k from a start whose first entry is
+        # 1.5e12 / 2^at: the norm passes OVERFLOW_GUARD at iteration `at`
+        # exactly, the last row of one block or the first row of the next;
+        # solve_tol = 0 keeps the tiny early steps from stopping the run
+        grow = np.diag([2.0, 0.5])
+        eye = np.eye(2)
+        d = make_pds(eye - grow, eye, grow, np.zeros((2, 2)))
+        s = make_proper_splitting(eye - grow, eye)
+        x = np.array([1.5e12 / 2.0**at, 1.0])
+        for split in (d, s):
+            trace = _matches_reference(split, np.zeros(2), (x, x), ToleranceConfig(solve_tol=0.0))
+            assert trace.diverged and trace.iterations_used == at
+
+    @pytest.mark.parametrize("rho", [0.9, 0.97])
+    def test_first_small_step_opens_a_block(self, rho):
+        # solve_tol is the step at row _CHUNK, the first row of the second
+        # block, and every earlier step is larger: the tail guard's rate window
+        # then holds ratios of steps from both blocks.  Iterates near 1e-3 make
+        # the tail bound 5 tol (1 + |x|) + tol about 6 tol, which a rate near
+        # rho exceeds for several steps past the first small ones
+        d, s, b, starts = _slow_pair(6, rho)
+        b, starts = 1e-3 * b, tuple(1e-3 * x for x in starts)
+        probe_cfg = ToleranceConfig(solve_tol=0.0, max_iter=_CHUNK + 1)
+        for split in (d, s):
+            for x in ((None, None), starts):
+                probe = _matches_reference(split, b, x, probe_cfg)
+                steps = probe.residual_history
+                tol = steps[_CHUNK]
+                assert tol < min(steps[:_CHUNK])
+                trace = _matches_reference(split, b, x, ToleranceConfig(solve_tol=tol))
+                assert trace.converged and trace.iterations_used > _CHUNK + 2
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+    def test_oscillating_steps_around_a_block_edge(self, theta):
+        # x_{k+1} = H x_k + b with H = 0.9 D Rot(theta) D^-1, D = diag(4, 1/4):
+        # a nonnormal H whose complex eigenvalues make the step sizes rise and
+        # fall, so each solve_tol taken from the steps near row _CHUNK puts
+        # small steps, and large ones between them, on both sides of the edge
+        c, s_ = np.cos(theta), np.sin(theta)
+        h = 0.9 * np.array([[c, -16.0 * s_], [s_ / 16.0, c]])
+        eye = np.eye(2)
+        d = make_pds(eye - h, eye, h, np.zeros((2, 2)))
+        s = make_proper_splitting(eye - h, eye)
+        b = np.array([1e-3, -2e-3])
+        probe_cfg = ToleranceConfig(solve_tol=0.0, max_iter=_CHUNK + 8)
+        for split in (d, s):
+            probe = _matches_reference(split, b, (None, None), probe_cfg)
+            for tol in sorted(set(probe.residual_history[_CHUNK - 8 :])):
+                _matches_reference(split, b, (None, None), ToleranceConfig(solve_tol=tol))
+
+    @pytest.mark.parametrize("need_small", [1, 2])
+    def test_rate_window_reaches_into_the_previous_block(self, need_small):
+        # scripted 1-D iterates: steps of exactly 1 through the first block,
+        # then 5e-11, 5e-13 and 0.  At the first small steps the rate is 0.9999
+        # only through the ratios of steps in the first block, and that rate
+        # keeps the tail guard from stopping before the zero step
+        values = [0.5 * (-1.0) ** (i + 1) for i in range(_CHUNK)]
+        values += [values[-1] + 5e-11, values[-1] + 5e-11 + 5e-13]
+        values += [values[-1]] * _CHUNK
+        start = [np.array([0.5])] * need_small
+        cfg = ToleranceConfig(max_iter=len(values))
+        it = iter(values)
+        got = _iterate(
+            lambda row, *_: row.fill(next(it)), start, np.zeros(1), need_small, False, cfg
+        )
+        it_ref = iter(values)
+        want = _reference_iterate(
+            lambda xs: np.array([next(it_ref)]), start, np.zeros(1), need_small, False, cfg
+        )
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.iterations_used == _CHUNK + 3
+
+    def test_exact_fixed_point_with_zero_tolerance(self):
+        # R = S = 0 (V = 0): every iterate after the first step is P^+ b, so
+        # the steps are exactly 0 and a run stops with solve_tol = 0
+        d0 = weak_regular_double(default_rng(7), 6, 5, 3, rho=0.5)
+        zero = np.zeros_like(d0.p)
+        d = make_pds(d0.p, d0.p, zero, zero)
+        s = make_proper_splitting(d0.p, d0.p)
+        cfg = ToleranceConfig(solve_tol=0.0)
+        for split, used in ((d, 3), (s, 2)):
+            trace = _matches_reference(split, np.ones(6), (None, None), cfg)
+            assert trace.converged and trace.iterations_used == used
