@@ -74,9 +74,13 @@ def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> boo
         return bool(lhs <= tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
 
 
-# Updates run back to back into blocks of this many rows; the norms and the
-# stop-rule scan then run once per block.  At most _CHUNK - 1 rows past a stop
-# are computed and discarded, so a larger block wastes more on short runs.
+# The updates run back to back into blocks of rows; the norms then run once
+# per block.  A block holds as many rows as the run has used so far, at least
+# _FIRST_CHUNK and at most _CHUNK, so the blocks end after rows 8, 16, 32, 64
+# and then every 64 rows.  A run that stops after k > _FIRST_CHUNK rows has
+# computed fewer than 2k, and a long run pays the per-block overhead once per
+# _CHUNK rows.
+_FIRST_CHUNK = 8
 _CHUNK = 64
 
 
@@ -85,11 +89,12 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     ``row``, from the starting vector(s) ``start`` (``x_prev`` is None for a
     one-step scheme).
 
-    The loop works in chunks of up to ``_CHUNK`` rows.  It first runs the
-    updates back to back into a fresh ``(k, n)`` block.  It then takes every
+    The loop works in blocks of rows (see ``_FIRST_CHUNK``).  It first runs
+    the updates back to back into a fresh ``(k, n)`` block.  It then takes every
     step norm ``|x_next - x_curr|`` and every iterate norm ``|x_next|`` of the
     block at once, each the ``sqrt`` of a per-row dot product, as
-    ``np.linalg.norm`` computes it.  A run stops:
+    ``np.linalg.norm`` computes it, and applies the stop rules row by row.  A
+    run stops:
 
     * diverged, on an iterate whose norm is not <= ``OVERFLOW_GUARD``, which
       includes an iterate with NaN or Inf entries (the loop's arithmetic runs
@@ -101,12 +106,8 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
       at 0.9999: near the limit the remaining error is about that tail, which
       stopping on the raw step alone would leave unpaid when r is close to 1.
 
-    A row whose step is > ``cfg.solve_tol`` and whose norm is <=
-    ``OVERFLOW_GUARD`` can neither stop the run nor count as small, so the
-    rules above run only at the other rows; the rows between them only reset
-    the small-step count and feed the ratio window.  Rows computed after the
-    stopping row are discarded: the trace holds ``iterations_used`` iterates
-    after the start.
+    Rows computed after the stopping row are discarded: the trace holds
+    ``iterations_used`` iterates after the start.
     """
     tol = cfg.solve_tol
     iterates = [x.copy() for x in start]
@@ -120,7 +121,8 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     left = cfg.max_iter
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0 and not (step_ok or diverged):
-            rows = np.empty((min(_CHUNK, left), x_curr.size))
+            size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, left)
+            rows = np.empty((size, x_curr.size))
             before = x_curr
             for row in rows:
                 update(row, x_curr, x_prev)
@@ -129,41 +131,26 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
             np.subtract(rows[0], before, out=diff[0])
             np.subtract(rows[1:], rows[:-1], out=diff[1:])
             # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
-            step_arr = np.sqrt(np.vecdot(diff, diff))
-            norms = np.sqrt(np.vecdot(rows, rows))
-            flagged = np.flatnonzero(~((step_arr > tol) & (norms <= OVERFLOW_GUARD)))
-            steps = step_arr.tolist()
-            used = lo = 0
-            for j in flagged.tolist() + [len(steps)]:
-                # rows lo..j-1 are plain; row j, if any, is flagged
-                seg = steps[lo : j + 1]
-                residuals.extend(seg)
-                used = lo + len(seg)
-                if j < len(steps) and not norms[j] <= OVERFLOW_GUARD:
+            steps = np.sqrt(np.vecdot(diff, diff)).tolist()
+            norms = np.sqrt(np.vecdot(rows, rows)).tolist()
+            for used, (step, norm_next) in enumerate(zip(steps, norms), 1):
+                residuals.append(step)
+                if not norm_next <= OVERFLOW_GUARD:
                     diverged = True
                     break
-                # each step ratio is taken when the step before it is positive
-                # and finite; a plain step is both, except the first step of a
-                # run, which follows prev_step = inf, so the last three pairs
-                # decide the window
-                window = ([prev_step] + seg)[-4:]
-                for prev, step in zip(window, window[1:]):
-                    if 0.0 < prev < math.inf:
-                        ratios.append(min(step / prev, 0.9999))
-                del ratios[:-3]
-                prev_step = window[-1]
-                if j > lo:
+                if 0.0 < prev_step < math.inf:
+                    ratios.append(min(step / prev_step, 0.9999))
+                    del ratios[:-3]
+                prev_step = step
+                if step > tol:
                     small = 0
-                if j == len(steps):
-                    break
-                # a flagged row with a finite norm has a step <= tol
-                small += 1
-                rate = max(ratios, default=0.0)
-                tail = prev_step * rate / (1.0 - rate)
-                if tail <= 5.0 * tol * (1.0 + float(norms[j])) + tol and small >= need_small:
-                    step_ok = True
-                    break
-                lo = j + 1
+                else:
+                    small += 1
+                    rate = max(ratios, default=0.0)
+                    tail = step * rate / (1.0 - rate)
+                    if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
+                        step_ok = True
+                        break
             # a copy, so that the rows computed past a stop are freed
             iterates.extend(rows if used == len(rows) else rows[:used].copy())
             left -= used

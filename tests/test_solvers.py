@@ -1,5 +1,7 @@
 """Tests for the one-step and two-step stationary iterations."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -19,7 +21,7 @@ from propersplit import (
 )
 from propersplit.double import ProperDoubleSplitting
 from propersplit.generators import weak_regular_double
-from propersplit.solvers import _CHUNK, OVERFLOW_GUARD, IterationTrace, _iterate
+from propersplit.solvers import _CHUNK, _FIRST_CHUNK, OVERFLOW_GUARD, IterationTrace, _iterate
 
 
 class TestMinNormLsq:
@@ -430,12 +432,16 @@ def _slow_pair(seed, rho):
 
 
 class TestChunkBoundaries:
-    """Differential, at the edges of the solver loop's blocks of ``_CHUNK``
-    rows: every trace field is bit-identical to the reference loop's, and a
+    """Differential, at the edges of the solver loop's blocks, which end after
+    rows 8, 16, 32 and 64 and then every ``_CHUNK`` rows: every trace field is bit-identical to the reference loop's, and a
     trace holds ``iterations_used`` iterates after its start, for a stop at
     ``max_iter``, on divergence and on convergence."""
 
-    @pytest.mark.parametrize("max_iter", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize(
+        "max_iter",
+        [_FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+        + [2 * _CHUNK + 3],
+    )
     @pytest.mark.parametrize("solve_tol", [1e-10, 0.0])
     def test_max_iter_at_a_block_edge(self, max_iter, solve_tol):
         d, s, b, starts = _slow_pair(5, 0.99)
@@ -446,7 +452,7 @@ class TestChunkBoundaries:
                 assert trace.iterations_used == max_iter
                 assert not (trace.converged or trace.diverged)
 
-    @pytest.mark.parametrize("at", [_CHUNK, _CHUNK + 1, 2 * _CHUNK])
+    @pytest.mark.parametrize("at", [_FIRST_CHUNK, _FIRST_CHUNK + 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
     def test_divergence_at_a_block_edge(self, at):
         # x_{k+1} = diag(2, 1/2) x_k from a start whose first entry is
         # 1.5e12 / 2^at: the norm passes OVERFLOW_GUARD at iteration `at`
@@ -463,8 +469,8 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("rho", [0.9, 0.97])
     def test_first_small_step_opens_a_block(self, rho):
-        # solve_tol is the step at row _CHUNK, the first row of the second
-        # block, and every earlier step is larger: the tail guard's rate window
+        # solve_tol is the step at row _CHUNK, the first row of a block, and
+        # every earlier step is larger: the tail guard's rate window
         # then holds ratios of steps from both blocks.  Iterates near 1e-3 make
         # the tail bound 5 tol (1 + |x|) + tol about 6 tol, which a rate near
         # rho exceeds for several steps past the first small ones
@@ -500,9 +506,10 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("need_small", [1, 2])
     def test_rate_window_reaches_into_the_previous_block(self, need_small):
-        # scripted 1-D iterates: steps of exactly 1 through the first block,
-        # then 5e-11, 5e-13 and 0.  At the first small steps the rate is 0.9999
-        # only through the ratios of steps in the first block, and that rate
+        # scripted 1-D iterates: steps of exactly 1 through the first _CHUNK
+        # rows, which end a block, then 5e-11, 5e-13 and 0.  At the first small
+        # steps the rate is 0.9999 only through the ratios of steps in the
+        # previous block, and that rate
         # keeps the tail guard from stopping before the zero step
         values = [0.5 * (-1.0) ** (i + 1) for i in range(_CHUNK)]
         values += [values[-1] + 5e-11, values[-1] + 5e-11 + 5e-13]
@@ -531,3 +538,22 @@ class TestChunkBoundaries:
         for split, used in ((d, 3), (s, 2)):
             trace = _matches_reference(split, np.ones(6), (None, None), cfg)
             assert trace.converged and trace.iterations_used == used
+
+    def test_rows_computed_past_a_stop(self):
+        # scripted 1-D iterates of alternating sign that diverge at row k: the
+        # run keeps k rows and has computed the rows of the blocks that hold
+        # them, fewer than 2k once k > _FIRST_CHUNK and never more than fixed
+        # blocks of _CHUNK rows would hold
+        for k in range(1, 3 * _CHUNK + 2):
+            calls = []
+
+            def update(row, *_):
+                calls.append(None)
+                row.fill(math.inf if len(calls) == k else (-1.0) ** len(calls))
+
+            cfg = ToleranceConfig(solve_tol=0.0)
+            trace = _iterate(update, [np.zeros(1)], np.zeros(1), 1, False, cfg)
+            assert trace.diverged and trace.iterations_used == k
+            assert len(trace.iterates) == k + 1
+            assert len(calls) <= max(_FIRST_CHUNK, 2 * k - 2)
+            assert len(calls) <= -(-k // _CHUNK) * _CHUNK
