@@ -13,9 +13,11 @@ or malformed input, an out-of-range tolerance flag or an unwritable ``--out``
 path, 3 numerical failure, 4 invalid splitting (decomposition or subspace
 mismatch, or square-corollary mode on a singular matrix).
 
-Output is text by default; ``--format json`` emits one JSON document with the
-same numeric values.  The text report is rendered from the same document
-``--format json`` prints.  All tolerances are flag-overridable so a report is
+Output is text by default; the text report is rendered from the one JSON
+document ``--format json`` prints.  For ``spectrum``, ``classify`` and
+``compare`` that document is the library report encoded field by field, with
+four keys renamed (``_RENAMED``); ``--echo-inputs`` adds every input, vectors
+as flat lists.  All tolerances are flag-overridable so a report is
 reproducible from the command line alone.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import sys
 
@@ -75,8 +78,28 @@ def _num(x) -> str:
     return json.dumps(float(x))
 
 
-def _matrix_entries(a) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(a, dtype=float)]
+# JSON keys that cannot equal the report field they encode
+_RENAMED = {"splitting_class": "class", "theorem_id": "theorem",
+            "hypothesis_verdicts": "hypotheses", "agree": "equivalence_agrees"}
+
+
+def _plain(x):
+    """``x`` as JSON data: a dataclass as a dict of its fields in field order,
+    keys renamed by ``_RENAMED``; an enum as its value; an array, tuple, list
+    or dict item by item; a complex number as ``[re, im]``."""
+    if dataclasses.is_dataclass(x):
+        return {_RENAMED.get(f.name, f.name): _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,15 +165,14 @@ def _read_files(args, names: str) -> dict[str, np.ndarray]:
 def cmd_pinv(args, cfg):
     a = read_matrix(args.matrix)
     x = pinv(a, cfg)
-    res = penrose_residuals(a, x)
     labels = ("axa", "xax", "ax_symmetry", "xa_symmetry")
     doc = {
         "command": "pinv",
         "input": args.matrix,
         "rows": x.shape[0],
         "cols": x.shape[1],
-        "entries": _matrix_entries(x),
-        "penrose_residuals": dict(zip(labels, (float(r) for r in res))),
+        "entries": _plain(x),
+        "penrose_residuals": dict(zip(labels, penrose_residuals(a, x))),
     }
     return doc, {"A": a}
 
@@ -164,17 +186,7 @@ def text_pinv(doc):
 
 def cmd_spectrum(args, cfg):
     m = read_matrix(args.matrix)
-    spectrum = eigenvalues(m, cfg)
-    doc = {
-        "command": "spectrum",
-        "input": args.matrix,
-        "eigenvalues": [[ev.real, ev.imag] for ev in spectrum.eigenvalues],
-        "spectral_radius": spectrum.spectral_radius,
-        "dominant_vector": None
-        if spectrum.dominant_vector is None
-        else [float(x) for x in spectrum.dominant_vector],
-    }
-    return doc, {"M": m}
+    return {"command": "spectrum", "input": args.matrix, **_plain(eigenvalues(m, cfg))}, {"M": m}
 
 
 def text_spectrum(doc):
@@ -195,39 +207,20 @@ def cmd_classify(args, cfg):
         except HypothesisUnmetError:
             eq = None
         proj = check_projector_identities(s, cfg)
+        equivalence = _plain(eq) if eq is not None else {}
         doc = {
             "command": "classify",
             "kind": "single",
-            "class": (eq.splitting_class if eq else SplittingClass.PROPER_ONLY).value,
+            "class": equivalence.pop("class", SplittingClass.PROPER_ONLY.value),
             "projector_range_residual": proj.range_residual,
             "projector_rowspace_residual": proj.rowspace_residual,
             "projector_identities_pass": proj.passed,
+            **equivalence,
         }
-        if eq is not None:
-            doc.update(
-                {
-                    "a_pinv_nonneg": eq.a_pinv_nonneg,
-                    "a_pinv_v_nonneg": eq.a_pinv_v_nonneg,
-                    "iteration_radius": eq.iteration_radius,
-                    "radius_below_one": eq.radius_below_one,
-                    "equivalence_agrees": eq.agree,
-                }
-            )
         return doc, inputs
 
     conv = check_convergence(make_pds(*inputs.values(), cfg), cfg)
-    doc = {
-        "command": "classify",
-        "kind": "double",
-        "class": conv.splitting_class.value,
-        "rho_w": conv.rho_w,
-        "rho_induced": conv.rho_induced,
-        "semi_monotone": conv.semi_monotone,
-        "biconditional_agrees": conv.biconditional_agrees,
-        "guaranteed_convergent": conv.guaranteed_convergent,
-        "converges": conv.converges,
-    }
-    return doc, inputs
+    return {"command": "classify", "kind": "double", **_plain(conv)}, inputs
 
 
 def text_classify(doc):
@@ -258,15 +251,17 @@ def text_classify(doc):
 
 def cmd_solve(args, cfg):
     inputs = _read_files(args, "A U b" if args.kind == "single" else "A P R S b")
-    b = inputs.pop("b")
-    x0 = read_vector(args.x0) if args.x0 else None
-    if args.kind == "single":
-        if args.x1:
+    *mats, b = inputs.values()
+    if args.x0:
+        inputs["x0"] = read_vector(args.x0)
+    if args.x1:
+        if args.kind == "single":
             raise MatrixFormatError("--x1 applies to the double scheme only")
-        trace = solve_single(make_proper_splitting(*inputs.values(), cfg), b, x0=x0, cfg=cfg)
+        inputs["x1"] = read_vector(args.x1)
+    if args.kind == "single":
+        trace = solve_single(make_proper_splitting(*mats, cfg), b, x0=inputs.get("x0"), cfg=cfg)
     else:
-        x1 = read_vector(args.x1) if args.x1 else None
-        trace = solve_double(make_pds(*inputs.values(), cfg), b, x0=x0, x1=x1, cfg=cfg)
+        trace = solve_double(make_pds(*mats, cfg), b, x0=inputs.get("x0"), x1=inputs.get("x1"), cfg=cfg)
     doc = {
         "command": "solve",
         "kind": args.kind,
@@ -275,12 +270,12 @@ def cmd_solve(args, cfg):
         "iterations_used": trace.iterations_used,
         "final_step_residual": trace.residual_history[-1] if trace.residual_history else 0.0,
         "distance_to_reference": trace.distance_to_reference,
-        "limit": [float(x) for x in trace.limit],
-        "reference_solution": [float(x) for x in trace.reference_solution],
+        "limit": _plain(trace.limit),
+        "reference_solution": _plain(trace.reference_solution),
         "x0_in_nullspace_v": trace.x0_in_nullspace_v,
     }
     if args.trace:
-        doc["iterates"] = [[float(x) for x in it] for it in trace.iterates]
+        doc["iterates"] = _plain(trace.iterates)
     return doc, inputs
 
 
@@ -304,23 +299,8 @@ def cmd_compare(args, cfg):
     a, p1, r1, s1, p2, r2, s2 = inputs.values()
     d1 = make_pds(a, p1, r1, s1, cfg)
     d2 = make_pds(a, p2, r2, s2, cfg)
-    rep = compare(_THEOREMS[args.theorem], d1, d2, cfg, square_corollary=args.square_corollary)
-    doc = {
-        "command": "compare",
-        "theorem": rep.theorem_id.value,
-        "square_corollary": rep.square_corollary,
-        "hypotheses": [
-            {"label": v.label, "passed": v.passed, "residual": v.residual}
-            for v in rep.hypothesis_verdicts
-        ],
-        "branch_used": rep.branch_used.value,
-        "rho1": rep.rho1,
-        "rho2": rep.rho2,
-        "conclusion_predicted": rep.conclusion_predicted,
-        "conclusion_observed": rep.conclusion_observed,
-        "notes": list(rep.notes),
-    }
-    return doc, inputs
+    report = compare(_THEOREMS[args.theorem], d1, d2, cfg, square_corollary=args.square_corollary)
+    return {"command": "compare", **_plain(report)}, inputs
 
 
 def text_compare(doc):
@@ -352,7 +332,7 @@ _COMMANDS = {
 def _emit(args, doc, render, inputs) -> None:
     if args.format == "json":
         if args.echo_inputs:
-            doc["inputs"] = {name: _matrix_entries(m) for name, m in inputs.items()}
+            doc["inputs"] = _plain(inputs)
         payload = json.dumps(doc, indent=2) + "\n"
     else:
         payload = "\n".join(render(doc)) + "\n"

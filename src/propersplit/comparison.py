@@ -63,7 +63,8 @@ class HypothesisVerdict:
 
     For ``X >= 0`` style conditions the residual is how far the worst entry
     dips below zero; for range membership it is a projector residual norm;
-    for the no-zero-row condition it is the smallest row maximum.
+    for the no-zero-row condition it is the smallest row maximum.  The field
+    order is the key order of each item of the CLI's ``hypotheses`` list.
     """
 
     label: str
@@ -73,14 +74,16 @@ class HypothesisVerdict:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """One theorem check; the field order is the CLI's ``compare`` JSON key order."""
+
     theorem_id: TheoremId
+    square_corollary: bool
     hypothesis_verdicts: tuple[HypothesisVerdict, ...]
     branch_used: Branch
     rho1: float
     rho2: float
     conclusion_predicted: bool
     conclusion_observed: bool
-    square_corollary: bool = False
     notes: tuple[str, ...] = field(default=())
 
 
@@ -138,49 +141,45 @@ def compare(
     regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s, pr1, ps1)
     regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s, pr2, ps2)
 
-    verdicts: list[HypothesisVerdict] = []
-    verdicts.append(_nonneg_verdict("A^+ >= 0", a_inv, cfg))
-
+    # the hypotheses the theorem requires; the branch conditions follow them
+    required = [_nonneg_verdict("A^+ >= 0", a_inv, cfg)]
+    p_order = None  # P1^+ >= P2^+, for the two theorems that require it
     if theorem is TheoremId.REGULAR_VS_WEAK:
-        verdicts.append(_verdict("splitting 1 regular", regular1, cfg))
-        verdicts.append(_nonneg_verdict("P1 P1^+ >= 0", d1.p @ p1_inv, cfg))
-        verdicts.append(_verdict("splitting 2 weak regular", weak2, cfg))
-        verdicts.append(_geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg))
+        p_order = _geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg)
+        required += [
+            _verdict("splitting 1 regular", regular1, cfg),
+            _nonneg_verdict("P1 P1^+ >= 0", d1.p @ p1_inv, cfg),
+            _verdict("splitting 2 weak regular", weak2, cfg),
+            p_order,
+        ]
     elif theorem is TheoremId.WEAK_VS_REGULAR:
         e = np.ones(a.shape[0])
         e_residual = float(np.linalg.norm(e - a @ (a_inv @ e)))
-        verdicts.append(
-            HypothesisVerdict(
-                "e in range(A)",
-                bool(e_residual <= cfg.eq_abs_tol * np.sqrt(a.shape[0])),
-                e_residual,
-            )
-        )
-        verdicts.append(_verdict("splitting 1 weak regular", weak1, cfg))
-        verdicts.append(_verdict("splitting 2 regular", regular2, cfg))
+        e_in_range = bool(e_residual <= cfg.eq_abs_tol * np.sqrt(a.shape[0]))
         smallest_row_max = float(np.min(np.max(np.abs(p2_inv), axis=1)))
-        verdicts.append(
-            HypothesisVerdict(
-                "P2^+ has no zero row",
-                not has_zero_row(p2_inv, cfg),
-                smallest_row_max,
-            )
-        )
-        verdicts.append(_nonneg_verdict("P2 P2^+ >= 0", d2.p @ p2_inv, cfg))
-        verdicts.append(_geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg))
+        p_order = _geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg)
+        required += [
+            HypothesisVerdict("e in range(A)", e_in_range, e_residual),
+            _verdict("splitting 1 weak regular", weak1, cfg),
+            _verdict("splitting 2 regular", regular2, cfg),
+            HypothesisVerdict("P2^+ has no zero row", not has_zero_row(p2_inv, cfg), smallest_row_max),
+            _nonneg_verdict("P2 P2^+ >= 0", d2.p @ p2_inv, cfg),
+            p_order,
+        ]
     else:  # WEAK_VS_WEAK
-        verdicts.append(_verdict("splitting 1 weak regular", weak1, cfg))
-        verdicts.append(_verdict("splitting 2 weak regular", weak2, cfg))
-        verdicts.append(_geq_verdict("P1^+ A >= P2^+ A", p1_inv @ a, p2_inv @ a, cfg))
+        required += [
+            _verdict("splitting 1 weak regular", weak1, cfg),
+            _verdict("splitting 2 weak regular", weak2, cfg),
+            _geq_verdict("P1^+ A >= P2^+ A", p1_inv @ a, p2_inv @ a, cfg),
+        ]
 
     branch_i = _geq_verdict("P1^+ R1 >= P2^+ R2", pr1, pr2, cfg)
     branch_ii = _geq_verdict("P1^+ S1 >= P2^+ S2", ps1, ps2, cfg)
-    verdicts.extend([branch_i, branch_ii])
+    verdicts = [*required, branch_i, branch_ii]
 
-    if square_corollary and theorem is not TheoremId.WEAK_VS_WEAK:
+    if square_corollary and p_order is not None:
         r_order = _geq_verdict("R1 >= R2", d1.r, d2.r, cfg)
         verdicts.append(r_order)
-        p_order = next(v for v in verdicts if v.label == "P1^+ >= P2^+")
         if r_order.passed and p_order.passed:
             notes.append(
                 "branch (i) implied: P1^+ >= P2^+ >= 0 and R1 >= R2 >= 0 force P1^+ R1 >= P2^+ R2"
@@ -198,21 +197,18 @@ def compare(
     rho1 = _restricted_radius(basis1, (pr1, ps1), cfg)
     rho2 = _restricted_radius(basis2, (pr2, ps2), cfg)
 
-    required_ok = all(
-        v.passed for v in verdicts if v.label not in (branch_i.label, branch_ii.label, "R1 >= R2")
-    )
-    predicted = required_ok and branch_used is not Branch.NEITHER
+    predicted = all(v.passed for v in required) and branch_used is not Branch.NEITHER
     observed = rho1 <= rho2 + cfg.spectral_tol and rho2 < 1.0 - cfg.spectral_tol
 
     return ComparisonReport(
         theorem_id=theorem,
+        square_corollary=square_corollary,
         hypothesis_verdicts=tuple(verdicts),
         branch_used=branch_used,
         rho1=rho1,
         rho2=rho2,
         conclusion_predicted=predicted,
         conclusion_observed=observed,
-        square_corollary=square_corollary,
         notes=tuple(notes),
     )
 

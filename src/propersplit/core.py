@@ -86,7 +86,8 @@ class Spectrum:
     normalized to unit max entry.  It is populated only for (entrywise)
     nonnegative matrices, where its existence is guaranteed; ``None`` means
     the matrix was not nonnegative or no such vector could be recovered
-    numerically.
+    numerically.  The field order is the key order of the CLI's ``spectrum``
+    JSON document.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -145,9 +146,8 @@ def _pinv_rowspace(a, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
-    if s[0] <= 0.0:  # the zero matrix; as_matrix rejects empty input
-        return np.zeros((a.shape[1], a.shape[0])), np.zeros((a.shape[1], 0))
-    keep = s > _rank_cutoff(a.shape, cfg) * s[0]  # keeps s[0], as the cutoff is < 1
+    # keeps s[0], as the cutoff is < 1, unless s[0] = 0: the zero matrix, r = 0
+    keep = s > _rank_cutoff(a.shape, cfg) * s[0]
     basis = vt[keep].T
     return (basis / s[keep]) @ u[:, keep].T, np.ascontiguousarray(basis)
 
@@ -181,8 +181,6 @@ def matrix_rank(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
     return int(np.count_nonzero(s > _rank_cutoff(a.shape, cfg) * s[0]))
 
 

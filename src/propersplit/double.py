@@ -145,7 +145,8 @@ class ConvergenceReport:
     comes from the restriction to ``range(P^+)``: ``rho_w`` from the 2r x 2r
     companion of ``V_r^T P^+R V_r`` and ``V_r^T P^+S V_r``, which has the
     nonzero spectrum of W (see ``core._restricted_radius``).  r = n takes the
-    full eigensolve.
+    full eigensolve.  The field order is the key order of the CLI's
+    ``classify double`` JSON document.
     """
 
     splitting_class: DoubleSplittingClass

@@ -143,7 +143,9 @@ class SemimonotoneEquivalenceReport:
     ``iteration_radius`` is the midpoint of a Collatz-Wielandt bracket from
     power iteration on the n x n ``U^+ V`` when ``U^+ V >= 0`` holds exactly,
     and otherwise is taken on the r x r restriction of ``U^+ V`` to
-    ``range(U^+)`` (see ``core._restricted_radius``).
+    ``range(U^+)`` (see ``core._restricted_radius``).  The field order is the
+    key order of the CLI's ``classify single`` JSON document, where the
+    class comes before the projector residuals.
     """
 
     splitting_class: SplittingClass

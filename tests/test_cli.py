@@ -407,3 +407,107 @@ def test_text_carries_every_json_float(case, square_pair_dir, capsys):
 def test_pinv_text_matrix_equals_json_entries(name, capsys):
     text, doc = _text_and_doc(["pinv", str(DATA / f"{name}.mat")], capsys)
     assert np.array_equal(parse_matrix(text), np.array(doc["entries"]))
+
+
+def _key_paths(node, prefix=""):
+    """Every key of a JSON document in order, as a dotted path, recursing into
+    dicts and into the first item of a list of dicts."""
+    if isinstance(node, list) and node and isinstance(node[0], dict):
+        yield from _key_paths(node[0], prefix + "[0]")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            yield path
+            yield from _key_paths(value, path)
+
+
+_SPECTRUM_KEYS = ["command", "input", "eigenvalues", "spectral_radius", "dominant_vector"]
+_CLASSIFY_SINGLE_KEYS = [
+    "command", "kind", "class",
+    "projector_range_residual", "projector_rowspace_residual", "projector_identities_pass",
+]
+_SOLVE_KEYS = [
+    "command", "kind", "converged", "diverged", "iterations_used", "final_step_residual",
+    "distance_to_reference", "limit", "reference_solution", "x0_in_nullspace_v",
+]
+_COMPARE_KEYS = [
+    "command", "theorem", "square_corollary",
+    "hypotheses", "hypotheses[0].label", "hypotheses[0].passed", "hypotheses[0].residual",
+    "branch_used", "rho1", "rho2", "conclusion_predicted", "conclusion_observed", "notes",
+]
+
+# ``exN_*`` names a bundled file, ``sq_*`` a file of a generated square pair,
+# ``neg_ex2_a`` the negated A of the second example (U = -A is ProperOnly)
+_KEY_CASES = {
+    "pinv-echo": (
+        ["pinv", "ex1_p1", "--echo-inputs"],
+        ["command", "input", "rows", "cols", "entries", "penrose_residuals",
+         "penrose_residuals.axa", "penrose_residuals.xax", "penrose_residuals.ax_symmetry",
+         "penrose_residuals.xa_symmetry", "inputs", "inputs.A"],
+    ),
+    "spectrum-dominant": (["spectrum", "ex2_w1"], _SPECTRUM_KEYS),
+    "spectrum-no-dominant": (["spectrum", "sq_s1"], _SPECTRUM_KEYS),
+    "classify-single-proper-only": (
+        ["classify", "single", "ex2_a", "neg_ex2_a"], _CLASSIFY_SINGLE_KEYS
+    ),
+    "classify-single-weak": (
+        ["classify", "single", "ex1_a", "ex1_p2"],
+        _CLASSIFY_SINGLE_KEYS + [
+            "a_pinv_nonneg", "a_pinv_v_nonneg", "iteration_radius", "radius_below_one",
+            "equivalence_agrees",
+        ],
+    ),
+    "classify-double": (
+        ["classify", "double", "ex1_a", "ex1_p1", "ex1_r1", "ex1_s1"],
+        ["command", "kind", "class", "rho_w", "rho_induced", "semi_monotone",
+         "biconditional_agrees", "guaranteed_convergent", "converges"],
+    ),
+    "solve-single": (["solve", "single", "ex2_a", "ex2_p1", "ex2_b"], _SOLVE_KEYS),
+    "solve-double-trace-echo": (
+        ["solve", "double", "ex2_a", "ex2_p1", "ex2_r1", "ex2_s1", "ex2_b", "--trace", "--echo-inputs"],
+        _SOLVE_KEYS + ["iterates", "inputs", "inputs.A", "inputs.P", "inputs.R", "inputs.S", "inputs.b"],
+    ),
+    **{
+        f"compare-{theorem}": (["compare", theorem, *(f"ex2_{k}" for k in _SEVEN)], _COMPARE_KEYS)
+        for theorem in ("regular-vs-weak", "weak-vs-regular", "weak-vs-weak")
+    },
+    "compare-square-corollary": (
+        ["compare", "regular-vs-weak", *(f"sq_{k}" for k in _SEVEN), "--square-corollary"],
+        _COMPARE_KEYS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_KEY_CASES), ids=str)
+def test_json_key_contract(case, square_pair_dir, tmp_path, capsys):
+    # the library reports' field order is the JSON key order: pin both
+    write_matrix(tmp_path / "neg_ex2_a.mat", -read_matrix(DATA / "ex2_a.mat"))
+    tokens, expected = _KEY_CASES[case]
+    argv = [
+        str(DATA / f"{tok}.mat") if tok.startswith("ex")
+        else str(square_pair_dir / f"{tok}.mat") if tok.startswith("sq_")
+        else str(tmp_path / f"{tok}.mat") if tok.startswith("neg_")
+        else tok
+        for tok in tokens
+    ]
+    assert main(argv + ["--format", "json"]) == 0
+    assert list(_key_paths(json.loads(capsys.readouterr().out))) == expected
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_solve_echo_inputs_includes_vectors(kind, tmp_path, capsys):
+    # the echoed document holds every input, so the run can be repeated from it
+    names = ("a", "p1", "b") if kind == "single" else ("a", "p1", "r1", "s1", "b")
+    x0, x1 = tmp_path / "x0.mat", tmp_path / "x1.mat"
+    write_matrix(x0, np.array([[0.5], [-1.0], [2.0]]))
+    write_matrix(x1, np.array([[1.0, 0.0, -0.25]]))
+    argv = ["solve", kind, *(str(DATA / f"ex2_{n}.mat") for n in names), "--x0", str(x0)]
+    if kind == "double":
+        argv += ["--x1", str(x1)]
+    assert main(argv + ["--format", "json", "--echo-inputs"]) == 0
+    echoed = json.loads(capsys.readouterr().out)["inputs"]
+    assert list(echoed) == (["A", "U", "b", "x0"] if kind == "single" else ["A", "P", "R", "S", "b", "x0", "x1"])
+    assert echoed["b"] == read_matrix(DATA / "ex2_b.mat").reshape(-1).tolist()
+    assert echoed["x0"] == [0.5, -1.0, 2.0]
+    if kind == "double":
+        assert echoed["x1"] == [1.0, 0.0, -0.25]
