@@ -134,13 +134,16 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     The zero matrix maps to the zero matrix of transposed shape, which is the
     unique solution of the four defining equations in that case.
     """
-    return _pinv_rowspace(a, cfg)[0]
+    u_r, s_r, v_r = _kept_svd(a, cfg)
+    return (v_r / s_r) @ u_r.T
 
 
-def _pinv_rowspace(a, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``(A^+, V_r)`` from one SVD: :func:`pinv`'s result and the n x r matrix
-    of kept right singular vectors, an orthonormal basis of ``range(A^+)``
-    (A's row space); r = 0 for the zero matrix."""
+def _kept_svd(a, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U_r, s_r, V_r)``: the r kept singular triplets of one thin SVD,
+    ``A ~ U_r diag(s_r) V_r^T``, under :func:`pinv`'s cutoff, so that
+    ``(V_r / s_r) @ U_r.T`` is :func:`pinv`'s result.  ``V_r`` (n x r) is an
+    orthonormal basis of ``range(A^+)``, A's row space, and ``U_r`` (m x r) one
+    of A's column space; r = 0 for the zero matrix."""
     a = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -148,8 +151,7 @@ def _pinv_rowspace(a, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
     # keeps s[0], as the cutoff is < 1, unless s[0] = 0: the zero matrix, r = 0
     keep = s > _rank_cutoff(a.shape, cfg) * s[0]
-    basis = vt[keep].T
-    return (basis / s[keep]) @ u[:, keep].T, np.ascontiguousarray(basis)
+    return u[:, keep], s[keep], vt[keep].T
 
 
 def penrose_residuals(a, x) -> tuple[float, float, float, float]:

@@ -44,8 +44,9 @@ class MatrixFormatError(PropersplitError, ValueError):
 class NotProperError(PropersplitError, ValueError):
     """U does not preserve the range and null space of A.
 
-    Carries both projector residuals so callers can tell whether the range
-    condition, the null-space condition, or both failed.
+    Carries both projector residuals, ``max|A A^+ - U U^+|`` and
+    ``max|A^+ A - U^+ U|`` with A^+ from A's own SVD, so callers can tell
+    whether the range condition, the null-space condition, or both failed.
     """
 
     def __init__(self, range_residual: float, nullspace_residual: float, tol: float):

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    _pinv_rowspace,
+    _kept_svd,
     _rank_cutoff,
     _restricted_radius,
     as_matrix,
@@ -64,15 +64,53 @@ class ProperSplitting:
             self._memo[key] = mats
         return self._memo[key]
 
-    def _factors(self, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _factors(self, cfg: ToleranceConfig):
+        """``(A^+, U^+, V_r, (leak, bound))`` from U's SVD alone.
+
+        ``U^+ = (V_r / s_r) U_r^T`` is :func:`core.pinv`'s result for U.  For a
+        proper splitting ``A^+ = (I - U^+V)^{-1} U^+`` (Berman & Plemmons,
+        SIAM J. Numer. Anal. 11 (1974), Theorem 1), whose r x r form is
+        ``A^+ = V_r (diag(s_r) - U_r^T V V_r)^{-1} U_r^T``; it is evaluated as
+        ``(V_r / s_r) K^{-1} U_r^T`` with ``K = I_r - U_r^T V V_r / s_r``, so
+        that V = 0 gives K = I and ``A^+ = U^+`` bit for bit.  A singular K
+        (A not proper over U) takes A's own SVD instead.
+
+        ``leak`` is the Frobenius norm of ``A - U_r U_r^T A``, how far A leaves
+        ``range(U)``; it bounds every singular value A has beyond U's r.
+        ``bound`` is the rank cutoff, or its default ``max(m, n) eps`` if that
+        is smaller, times ``|A v_1|``, v_1 the first column of V_r, a lower
+        bound on A's largest singular value: a leak up to it is rounding that
+        A's own SVD would not count as rank, and that moves A^+ by no more
+        than rounding does.  :func:`_require_proper` reads both; ``U_r`` itself
+        is not kept.
+        """
+
         def make():
-            u_pinv, basis = _pinv_rowspace(self.u, cfg)
-            return as_matrix(pinv(self.a, cfg)), as_matrix(u_pinv), basis
+            u_r, s_r, v_r = _kept_svd(self.u, cfg)
+            scaled = v_r / s_r
+            k = np.eye(s_r.size) - (u_r.T @ self.v) @ v_r / s_r
+            try:
+                a_pinv = np.linalg.solve(k.T, scaled.T).T @ u_r.T
+            except np.linalg.LinAlgError:
+                a_pinv = pinv(self.a, cfg)
+            leak = np.linalg.norm(self.a - u_r @ (u_r.T @ self.a))
+            top = np.linalg.norm(self.a @ v_r[:, 0]) if s_r.size else 0.0
+            shape = self.a.shape
+            cutoff = min(_rank_cutoff(shape, cfg), _rank_cutoff(shape, DEFAULT_TOLERANCES))
+            return (
+                as_matrix(a_pinv),
+                as_matrix(scaled @ u_r.T),
+                np.ascontiguousarray(v_r),
+                np.array([leak, cutoff * top]),
+            )
 
         return self._owned("pinvs", cfg, make)
 
     def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(A^+, U^+)``."""
+        """Read-only ``(A^+, U^+)`` from one SVD, U's (see :meth:`_factors`).
+
+        On an accepted splitting A's rank is U's under the rank cutoff; A's own
+        SVD runs only when construction's first check fails."""
         return self._factors(cfg)[:2]
 
     def rowspace(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -85,10 +123,34 @@ class ProperSplitting:
         return self._owned("U^+V", cfg, lambda: (self.pinvs(cfg)[1] @ self.v,))[0]
 
 
+# The A^+ derived from U's SVD is kept only when it makes A A^+ and A^+ A equal
+# U's orthogonal projectors to within this, however loose eq_abs_tol is.
+_DERIVED_TOL = 1e-10
+
+
 def _require_proper(s: ProperSplitting, cfg: ToleranceConfig) -> None:
-    rep = check_projector_identities(s, cfg)
+    """Accept s when A leaves ``range(U)`` by no more than A's rank cutoff
+    would ignore (see :meth:`ProperSplitting._factors`) and the projector
+    identities hold for the A^+ derived from U's SVD, to ``eq_abs_tol`` and
+    to ``_DERIVED_TOL``.  Otherwise A's own SVD decides, as the one gate did
+    before A^+ was derived: its pseudoinverse and the projector identities to
+    ``eq_abs_tol``, whose residuals a :class:`NotProperError` carries.  A
+    splitting that only this second gate accepts keeps A's own pseudoinverse.
+
+    Without the leak test the derived A^+ passes both identities for the
+    non-proper ``A = I``, ``U = diag(1, 0)``, and for any A that gains a small
+    singular value outside U's range and row space."""
+    a_pinv, u_pinv, _, (leak, bound) = s._factors(cfg)
+    tol = min(cfg.eq_abs_tol, _DERIVED_TOL)
+    if leak <= bound and _projector_report(s, a_pinv, u_pinv, tol).passed:
+        return
+    a_pinv = pinv(s.a, cfg)
+    rep = _projector_report(s, a_pinv, u_pinv, cfg.eq_abs_tol)
     if not rep.passed:
         raise NotProperError(rep.range_residual, rep.rowspace_residual, cfg.eq_abs_tol)
+    a_pinv.flags.writeable = False
+    key = ("pinvs", _rank_cutoff(s.a.shape, cfg))
+    s._memo[key] = (a_pinv, *s._memo[key][1:])
 
 
 def make_proper_splitting(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperSplitting:
@@ -124,10 +186,13 @@ class ProjectorIdentityReport:
 def check_projector_identities(
     s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ProjectorIdentityReport:
-    a_pinv, u_pinv = s.pinvs(cfg)
+    return _projector_report(s, *s.pinvs(cfg), cfg.eq_abs_tol)
+
+
+def _projector_report(s: ProperSplitting, a_pinv, u_pinv, tol: float) -> ProjectorIdentityReport:
     range_res = max_abs_diff(s.a @ a_pinv, s.u @ u_pinv)
     rowspace_res = max_abs_diff(a_pinv @ s.a, u_pinv @ s.u)
-    passed = range_res <= cfg.eq_abs_tol and rowspace_res <= cfg.eq_abs_tol
+    passed = range_res <= tol and rowspace_res <= tol
     return ProjectorIdentityReport(range_res, rowspace_res, passed)
 
 
