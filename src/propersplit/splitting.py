@@ -97,12 +97,9 @@ class ProperSplitting:
             top = np.linalg.norm(self.a @ v_r[:, 0]) if s_r.size else 0.0
             shape = self.a.shape
             cutoff = min(_rank_cutoff(shape, cfg), _rank_cutoff(shape, DEFAULT_TOLERANCES))
-            return (
-                as_matrix(a_pinv),
-                as_matrix(scaled @ u_r.T),
-                np.ascontiguousarray(v_r),
-                np.array([leak, cutoff * top]),
-            )
+            # fresh C-ordered products: a copy would only add a transient m x n
+            # allocation, which raises the process's peak resident set size
+            return a_pinv, scaled @ u_r.T, np.ascontiguousarray(v_r), np.array([leak, cutoff * top])
 
         return self._owned("pinvs", cfg, make)
 
