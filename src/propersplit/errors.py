@@ -45,8 +45,10 @@ class NotProperError(PropersplitError, ValueError):
     """U does not preserve the range and null space of A.
 
     Carries both projector residuals, ``max|A A^+ - U U^+|`` and
-    ``max|A^+ A - U^+ U|`` with A^+ from A's own SVD, so callers can tell
-    whether the range condition, the null-space condition, or both failed.
+    ``max|A^+ A - U^+ U|``, so callers can tell whether the range condition,
+    the null-space condition, or both failed.  A^+ is A's own pseudoinverse
+    unless the one derived from U's SVD met both identities to 1e-10, which
+    only an ``eq_abs_tol`` below 1e-10 can then reject.
     """
 
     def __init__(self, range_residual: float, nullspace_residual: float, tol: float):

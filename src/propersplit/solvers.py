@@ -77,28 +77,11 @@ def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> boo
 # The updates run back to back into blocks of rows; the norms then run once
 # per block.  A block holds as many rows as the run has used so far, at least
 # _FIRST_CHUNK and at most _CHUNK, so the blocks end after rows 8, 16, 32, 64
-# and then every 64 rows, unless _rows_to_stop predicts a stop sooner: then the
-# block holds the predicted rows, but at least _FIRST_CHUNK.  A run that stops
-# after k > _FIRST_CHUNK rows has computed fewer than 2k, and a long run pays
-# the per-block overhead once per _CHUNK rows.
+# and then every 64 rows.  A run that stops after k > _FIRST_CHUNK rows has
+# computed fewer than 2k, and a long run pays the per-block overhead once per
+# _CHUNK rows.
 _FIRST_CHUNK = 8
 _CHUNK = 64
-
-
-def _rows_to_stop(step: float, rate: float, norm: float, tol: float, need_small: int) -> float:
-    """Rows until the stop rules of :func:`_iterate` fire, if each step is
-    ``rate`` times the one before, from the last step ``step`` at an iterate of
-    norm ``norm``; ``inf`` when ``tol`` is 0, as only an exact fixed point
-    stops such a run."""
-    if not tol > 0.0:
-        return math.inf
-    if rate > 0.0:
-        tol = min(tol, (5.0 * tol * (1.0 + norm) + tol) * (1.0 - rate) / rate)
-    if step <= tol:
-        return need_small
-    if rate > 0.0:
-        return math.ceil(math.log(tol / step) / math.log(rate)) + need_small
-    return 1 + need_small
 
 
 def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
@@ -139,10 +122,6 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0 and not (step_ok or diverged):
             size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, left)
-            if residuals:
-                rate = max(ratios, default=0.0)
-                predicted = _rows_to_stop(prev_step, rate, norm_next, tol, need_small)
-                size = min(size, max(_FIRST_CHUNK, predicted))
             rows = np.empty((size, x_curr.size))
             before = x_curr
             for row in rows:

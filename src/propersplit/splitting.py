@@ -65,49 +65,70 @@ class ProperSplitting:
         return self._memo[key]
 
     def _factors(self, cfg: ToleranceConfig):
-        """``(A^+, U^+, V_r, (leak, bound))`` from U's SVD alone.
+        """``(A^+, U^+, V_r, residuals)`` from U's SVD alone when the splitting
+        is proper, ``residuals`` being ``check_projector_identities``' pair.
 
         ``U^+ = (V_r / s_r) U_r^T`` is :func:`core.pinv`'s result for U.  For a
         proper splitting ``A^+ = (I - U^+V)^{-1} U^+`` (Berman & Plemmons,
         SIAM J. Numer. Anal. 11 (1974), Theorem 1), whose r x r form is
         ``A^+ = V_r (diag(s_r) - U_r^T V V_r)^{-1} U_r^T``; it is evaluated as
         ``(V_r / s_r) K^{-1} U_r^T`` with ``K = I_r - U_r^T V V_r / s_r``, so
-        that V = 0 gives K = I and ``A^+ = U^+`` bit for bit.  A singular K
-        (A not proper over U) takes A's own SVD instead.
+        that V = 0 gives K = I and ``A^+ = U^+`` bit for bit.
 
-        ``leak`` is the Frobenius norm of ``A - U_r U_r^T A``, how far A leaves
-        ``range(U)``; it bounds every singular value A has beyond U's r.
-        ``bound`` is the rank cutoff, or its default ``max(m, n) eps`` if that
-        is smaller, times ``|A v_1|``, v_1 the first column of V_r, a lower
-        bound on A's largest singular value: a leak up to it is rounding that
-        A's own SVD would not count as rank, and that moves A^+ by no more
-        than rounding does.  :func:`_require_proper` reads both; ``U_r`` itself
-        is not kept.
+        The derived A^+ is kept when A leaves ``range(U)`` by no more than
+        rounding (see :meth:`_leaves_range`), K is nonsingular, and A A^+ and
+        A^+ A equal U's projectors to ``_DERIVED_TOL``.  Otherwise, under every
+        rank cutoff alike, A^+ is A's own pseudoinverse, :func:`core.pinv`.
+        Without the range test the derived A^+ passes both identities for the
+        non-proper ``A = I``, ``U = diag(1, 0)``, and for any A that gains a
+        small singular value outside U's range and row space.
         """
 
         def make():
-            u_r, s_r, v_r = _kept_svd(self.u, cfg)
-            scaled = v_r / s_r
+            a_pinv, u_pinv, v_r = self._from_u_svd(cfg)
+            if a_pinv is not None:
+                residuals = _projector_residuals(self, a_pinv, u_pinv)
+            if a_pinv is None or max(residuals) > _DERIVED_TOL:
+                a_pinv = pinv(self.a, cfg)
+                residuals = _projector_residuals(self, a_pinv, u_pinv)
+            return a_pinv, u_pinv, v_r, np.array(residuals)
+
+        return self._owned("pinvs", cfg, make)
+
+    def _from_u_svd(self, cfg: ToleranceConfig):
+        """``(A^+, U^+, V_r)`` from U's SVD, A^+ None where A leaves U's range
+        or K is singular.  U's singular vectors die on return, before the
+        projector products are formed."""
+        u_r, s_r, v_r = _kept_svd(self.u, cfg)
+        scaled = v_r / s_r
+        a_pinv = None
+        if not self._leaves_range(u_r, v_r, cfg):
             k = np.eye(s_r.size) - (u_r.T @ self.v) @ v_r / s_r
             try:
                 a_pinv = np.linalg.solve(k.T, scaled.T).T @ u_r.T
             except np.linalg.LinAlgError:
-                a_pinv = pinv(self.a, cfg)
-            leak = np.linalg.norm(self.a - u_r @ (u_r.T @ self.a))
-            top = np.linalg.norm(self.a @ v_r[:, 0]) if s_r.size else 0.0
-            shape = self.a.shape
-            cutoff = min(_rank_cutoff(shape, cfg), _rank_cutoff(shape, DEFAULT_TOLERANCES))
-            # fresh C-ordered products: a copy would only add a transient m x n
-            # allocation, which raises the process's peak resident set size
-            return a_pinv, scaled @ u_r.T, np.ascontiguousarray(v_r), np.array([leak, cutoff * top])
+                pass
+        return a_pinv, scaled @ u_r.T, np.ascontiguousarray(v_r)
 
-        return self._owned("pinvs", cfg, make)
+    def _leaves_range(self, u_r: np.ndarray, v_r: np.ndarray, cfg: ToleranceConfig) -> bool:
+        """Whether the Frobenius norm of ``A - U_r U_r^T A``, how far A leaves
+        ``range(U)`` and a bound on every singular value A has beyond U's r,
+        exceeds what A's own SVD would not count as rank: the rank cutoff, or
+        its default ``max(m, n) eps`` if that is smaller, times ``|A v_1|``,
+        v_1 the first column of V_r, a lower bound on A's largest singular
+        value.  A leak up to that bound moves A^+ by no more than rounding."""
+        leak = np.linalg.norm(self.a - u_r @ (u_r.T @ self.a))
+        top = np.linalg.norm(self.a @ v_r[:, 0]) if v_r.shape[1] else 0.0
+        shape = self.a.shape
+        cutoff = min(_rank_cutoff(shape, cfg), _rank_cutoff(shape, DEFAULT_TOLERANCES))
+        return not leak <= cutoff * top
 
     def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(A^+, U^+)`` from one SVD, U's (see :meth:`_factors`).
 
-        On an accepted splitting A's rank is U's under the rank cutoff; A's own
-        SVD runs only when construction's first check fails."""
+        Where the splitting is proper under the rank cutoff A's rank is U's,
+        and A's own SVD runs only when the A^+ derived from U's fails its
+        check."""
         return self._factors(cfg)[:2]
 
     def rowspace(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -126,28 +147,9 @@ _DERIVED_TOL = 1e-10
 
 
 def _require_proper(s: ProperSplitting, cfg: ToleranceConfig) -> None:
-    """Accept s when A leaves ``range(U)`` by no more than A's rank cutoff
-    would ignore (see :meth:`ProperSplitting._factors`) and the projector
-    identities hold for the A^+ derived from U's SVD, to ``eq_abs_tol`` and
-    to ``_DERIVED_TOL``.  Otherwise A's own SVD decides, as the one gate did
-    before A^+ was derived: its pseudoinverse and the projector identities to
-    ``eq_abs_tol``, whose residuals a :class:`NotProperError` carries.  A
-    splitting that only this second gate accepts keeps A's own pseudoinverse.
-
-    Without the leak test the derived A^+ passes both identities for the
-    non-proper ``A = I``, ``U = diag(1, 0)``, and for any A that gains a small
-    singular value outside U's range and row space."""
-    a_pinv, u_pinv, _, (leak, bound) = s._factors(cfg)
-    tol = min(cfg.eq_abs_tol, _DERIVED_TOL)
-    if leak <= bound and _projector_report(s, a_pinv, u_pinv, tol).passed:
-        return
-    a_pinv = pinv(s.a, cfg)
-    rep = _projector_report(s, a_pinv, u_pinv, cfg.eq_abs_tol)
+    rep = check_projector_identities(s, cfg)
     if not rep.passed:
         raise NotProperError(rep.range_residual, rep.rowspace_residual, cfg.eq_abs_tol)
-    a_pinv.flags.writeable = False
-    key = ("pinvs", _rank_cutoff(s.a.shape, cfg))
-    s._memo[key] = (a_pinv, *s._memo[key][1:])
 
 
 def make_proper_splitting(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperSplitting:
@@ -183,14 +185,14 @@ class ProjectorIdentityReport:
 def check_projector_identities(
     s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ProjectorIdentityReport:
-    return _projector_report(s, *s.pinvs(cfg), cfg.eq_abs_tol)
-
-
-def _projector_report(s: ProperSplitting, a_pinv, u_pinv, tol: float) -> ProjectorIdentityReport:
-    range_res = max_abs_diff(s.a @ a_pinv, s.u @ u_pinv)
-    rowspace_res = max_abs_diff(a_pinv @ s.a, u_pinv @ s.u)
-    passed = range_res <= tol and rowspace_res <= tol
+    """Both residuals for ``s.pinvs(cfg)``, computed once with them."""
+    range_res, rowspace_res = map(float, s._factors(cfg)[3])
+    passed = range_res <= cfg.eq_abs_tol and rowspace_res <= cfg.eq_abs_tol
     return ProjectorIdentityReport(range_res, rowspace_res, passed)
+
+
+def _projector_residuals(s: ProperSplitting, a_pinv, u_pinv) -> tuple[float, float]:
+    return max_abs_diff(s.a @ a_pinv, s.u @ u_pinv), max_abs_diff(a_pinv @ s.a, u_pinv @ s.u)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,12 @@ from propersplit import (
     NotProperError,
     TheoremId,
     ToleranceConfig,
+    check_projector_identities,
     make_pds,
     make_proper_splitting,
     max_abs_diff,
     pinv,
+    solve_double,
 )
 from propersplit.generators import (
     comparison_pair,
@@ -166,10 +168,10 @@ class TestGateMatchesSvdGate:
         # the smaller size leaves some pairs proper, the larger none
         assert accepted == ({True, False} if size < 1e-10 else {False})
 
-    def test_second_gate_keeps_a_own_pinv(self):
-        # A's range turned by 1e-11 out of U's: too far for the first gate,
-        # near enough for the second, which keeps pinv(A) and not the derived
-        # A^+ (about 1e-11 relative away from it)
+    def test_rejected_derived_pinv_keeps_a_own_pinv(self):
+        # A's range turned by 1e-11 out of U's: too far for the derived A^+,
+        # near enough for eq_abs_tol, so the splitting keeps pinv(A) and not
+        # the derived A^+ (about 1e-11 relative away from it)
         for a, u in PAIRS[:6]:
             [a2] = [a2 for name, a2, _ in _perturbed(a, u, 1e-11) if name == "A range"]
             assert _svd_gate(a2, u) is None
@@ -185,3 +187,29 @@ class TestGateMatchesSvdGate:
         for a, u in pairs:
             assert _svd_gate(a, u, cfg) is None
             assert np.array_equal(make_proper_splitting(a, u, cfg).pinvs(cfg)[0], pinv(a, cfg))
+
+
+class TestOtherCutoff:
+    """A rank cutoff other than construction's, under which U's rank drops
+    and A's does not: the A^+ derived from U's SVD would be diag(1, 0), so
+    the splitting takes A's own, diag(1, 5000), as it does under any cutoff
+    where the derived one fails its check."""
+
+    a = np.diag([1.0, 2e-4])
+    u = np.diag([1.0, 1e-5])
+    cfg = ToleranceConfig(rank_rel_cutoff=1e-4)
+
+    def test_single(self):
+        s = make_proper_splitting(self.a, self.u)
+        assert max_abs_diff(s.pinvs()[0], np.diag([1.0, 5000.0])) <= 1e-12 * 5000
+        a_pinv, u_pinv = s.pinvs(self.cfg)
+        assert np.array_equal(a_pinv, pinv(self.a, self.cfg))
+        assert np.array_equal(u_pinv, pinv(self.u, self.cfg))
+        rep = check_projector_identities(s, self.cfg)
+        assert (rep.range_residual, rep.rowspace_residual, rep.passed) == (1.0, 1.0, False)
+
+    def test_double(self):
+        d = make_pds(self.a, self.u, self.u - self.a, np.zeros((2, 2)))
+        b = np.array([1.0, 1e-3])
+        trace = solve_double(d, b, cfg=self.cfg)
+        assert np.array_equal(trace.reference_solution, pinv(self.a, self.cfg) @ b)

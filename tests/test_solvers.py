@@ -557,32 +557,3 @@ class TestChunkBoundaries:
             assert len(trace.iterates) == k + 1
             assert len(calls) <= max(_FIRST_CHUNK, 2 * k - 2)
             assert len(calls) <= -(-k // _CHUNK) * _CHUNK
-
-
-class TestBlockSizing:
-    """A block after the first holds no more rows than the stop rules predict
-    from the last step and the rate seen so far (but at least _FIRST_CHUNK),
-    so a run whose steps shrink by an exact ratio computes at most
-    _FIRST_CHUNK rows past its stop."""
-
-    @pytest.mark.parametrize("need_small", [1, 2])
-    @pytest.mark.parametrize("ratio", [0.5, 0.25])
-    @pytest.mark.parametrize("solve_tol", [1e-3, 1e-6, 1e-10, 1e-15])
-    def test_exact_ratio_stops_within_a_first_chunk(self, need_small, ratio, solve_tol):
-        # scripted 1-D iterates ratio^k: every step is exactly ratio times the
-        # one before, so the prediction is exact
-        cfg = ToleranceConfig(solve_tol=solve_tol)
-        start = [np.array([1.0])] * need_small
-        calls = []
-
-        def update(row, *_):
-            calls.append(None)
-            row.fill(ratio ** len(calls))
-
-        got = _iterate(update, start, np.zeros(1), need_small, False, cfg)
-        want = _reference_iterate(
-            lambda xs: xs[-1] * ratio, start, np.zeros(1), need_small, False, cfg
-        )
-        assert _trace_bits(got) == _trace_bits(want)
-        assert got.converged
-        assert len(calls) - got.iterations_used <= _FIRST_CHUNK
