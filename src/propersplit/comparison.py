@@ -116,12 +116,8 @@ def compare(
 ) -> ComparisonReport:
     """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2).
 
-    When 0 < r_i = rank(P_i) < n, ``rho_i`` is the midpoint of a
-    Collatz-Wielandt bracket from power iteration on the full companion when
-    ``P_i^+ R_i >= 0`` and ``P_i^+ S_i <= 0`` hold exactly, and otherwise is
-    taken on the 2r x 2r restriction of the companion to ``range(P_i^+)``
-    (see ``core._restricted_radius``).  r_i = n and square-corollary mode
-    take the full 2n x 2n companions.
+    Each ``rho_i`` follows the one radius rule, ``core._restricted_radius``,
+    on ``range(P_i^+)``, or on the whole space in square-corollary mode.
     """
     if d1.a.shape != d2.a.shape or max_abs_diff(d1.a, d2.a) > cfg.eq_abs_tol:
         raise DifferentAError("both double splittings must decompose the same matrix A")

@@ -197,8 +197,10 @@ def _perron_vector(m: np.ndarray, vals, vecs, rho: float, cfg: ToleranceConfig):
 
     First scans the eigenvector basis for a candidate attached to an
     eigenvalue of modulus rho with negligible imaginary part; falls back to
-    power iteration (which preserves nonnegativity) if the basis vectors are
-    unusable, e.g. for degenerate eigenspaces.
+    the last iterate of :func:`_perron_bracket` (which preserves
+    nonnegativity) if the basis vectors are unusable, e.g. for degenerate
+    eigenspaces.  ``None`` when neither gives a vector, as when the bracket
+    meets a zero iterate entry on a reducible matrix.
     """
     n = m.shape[0]
     tol = cfg.spectral_tol
@@ -226,23 +228,9 @@ def _perron_vector(m: np.ndarray, vals, vecs, rho: float, cfg: ToleranceConfig):
         if v is not None:
             return v
 
-    # Power iteration fallback; clamping tiny negative entries of m keeps the
-    # iterates exactly nonnegative.
-    mp = np.maximum(m, 0.0)
-    x = np.ones(n)
-    for _ in range(cfg.max_iter):
-        y = mp @ x
-        peak = np.max(y)
-        if peak <= 0.0:
-            v = accept(x)
-            return v
-        y = y / peak
-        if np.max(np.abs(y - x)) <= tol:
-            v = accept(y)
-            if v is not None:
-                return v
-        x = y
-    return accept(x)
+    # clamping tiny negative entries of m keeps the iterates exactly nonnegative
+    bracket = _perron_bracket((np.maximum(m, 0.0),), cfg.max_iter)
+    return None if bracket is None else accept(bracket[2])
 
 
 def eigenvalues(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
@@ -303,10 +291,11 @@ _EIG_NS = (0.6, 200.0)  # per N^3, per N^2
 _STEP_NS = (12e3, 0.4)  # per step, per block entry
 
 
-def _perron_bracket(blocks, r: int) -> tuple[float, float] | None:
-    """Collatz-Wielandt bracket ``(lo, hi)`` of the spectral radius of
+def _perron_bracket(blocks, budget: int) -> tuple[float, float, np.ndarray] | None:
+    """Collatz-Wielandt bracket ``(lo, hi, v)`` of the spectral radius of
     ``blocks[0]`` alone, or of the companion ``[[B1, -B2], [I, 0]]`` of two
-    n x n blocks, or ``None`` when it cannot give one cheaply.
+    n x n blocks, with ``v`` the last iterate, or ``None`` when it cannot give
+    one within ``budget`` steps.
 
     For an entrywise nonnegative map W and any positive x,
     ``min (Wx)_i / x_i <= rho(W) <= max (Wx)_i / x_i`` (Varga, *Matrix
@@ -314,22 +303,19 @@ def _perron_bracket(blocks, r: int) -> tuple[float, float] | None:
     ends.  The full map is iterated, the companion as
     ``(x, y) -> (B1 x - B2 y, x)``, without assembling it: a restriction to a
     subspace is not nonnegative.  Each end is widened by the rounding bound
-    ``(n + 2) u`` of a nonnegative dot product and a division.
+    ``(n + 2) u`` of a nonnegative dot product and a division.  ``v`` is the
+    positive iterate, with unit max entry, whose ratios close the bracket, so
+    ``|Wv - rho v| <= (hi - lo) v`` entrywise up to that rounding.
 
     ``None`` when a block is not exactly sign-correct (``B1 >= 0``,
     ``B2 <= 0``, or the one block ``>= 0``), when an iterate entry is not
-    positive, when the bracket contains 1, or when the bracket cannot reach
-    its width within about the cost of the dense eigensolve of size r (one
-    block) or 2r (companion) that it replaces; reducible, periodic and slowly
-    mixing maps end there.
+    positive, or when the bracket cannot reach its width within ``budget``
+    steps; reducible, periodic and slowly mixing maps end there.
     """
     first = blocks[0]
     n = first.shape[0]
     if np.min(first) < 0.0 or (len(blocks) == 2 and np.max(blocks[1]) > 0.0):
         return None
-    size = r * len(blocks)
-    eig_ns = (_EIG_NS[0] * size + _EIG_NS[1]) * size**2
-    budget = int(eig_ns / (_STEP_NS[0] + _STEP_NS[1] * len(blocks) * n * n))
     rounding = (n + 2) * float(np.finfo(float).eps) / 2.0
     target = max(_BRACKET_RTOL, 4.0 * rounding)
     lo, hi = 0.0, np.inf
@@ -349,7 +335,7 @@ def _perron_bracket(blocks, r: int) -> tuple[float, float] | None:
         low, high = lo * (1.0 - rounding), hi * (1.0 + rounding)
         width = (high - low) / high
         if width <= target:
-            return None if low <= 1.0 <= high else (low, high)
+            return low, high, v
         widths.append(width)
         # give up once the contraction over the last four steps predicts a miss
         if step >= 4:
@@ -360,36 +346,50 @@ def _perron_bracket(blocks, r: int) -> tuple[float, float] | None:
     return None
 
 
+def _bracket_budget(blocks, r: int) -> int:
+    """Steps of :func:`_perron_bracket` on the n x n ``blocks`` that cost about
+    one dense eigensolve of size r (one block) or 2r (companion), the one the
+    bracket replaces; see ``_EIG_NS``."""
+    n = blocks[0].shape[0]
+    size = r * len(blocks)
+    eig_ns = (_EIG_NS[0] * size + _EIG_NS[1]) * size**2
+    return int(eig_ns / (_STEP_NS[0] + _STEP_NS[1] * len(blocks) * n * n))
+
+
 def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float:
     """Spectral radius of ``blocks[0]`` alone, or of the companion
     :func:`companion_from_blocks` of two blocks, where every block maps into
     ``range(basis)`` and ``basis`` (n x r) has orthonormal columns.
 
-    When 0 < r < n the radius comes from one of two paths:
+    This is the one radius rule behind ``check_convergence``,
+    ``check_semimonotone_equivalence`` and ``compare``.  For 0 < r <= n the
+    radius comes from one of two paths:
 
     - bracket path: when the blocks are sign-correct (one block ``>= 0``; or
       ``B1 >= 0`` and ``B2 <= 0``, as for a weak regular double splitting) the
       map is nonnegative and the radius is the midpoint of the Collatz-Wielandt
       bracket of :func:`_perron_bracket`, relative width at most
       ``_BRACKET_RTOL`` (or a few times its rounding bound), from matvecs with
-      the n x n blocks and no eigensolve;
-    - restricted eigensolve, whenever the bracket gives up: with Q = basis
+      the n x n blocks and no eigensolve.  The bracket gets the steps that the
+      eigensolve it replaces would cost (:func:`_bracket_budget`), and one
+      that contains 1 is not used, as it cannot decide ``rho < 1``;
+    - eigensolve, whenever the bracket gives up: for r < n, with Q = basis,
       each block B satisfies B = Q Q^T B, so ``range(Q)`` (one block) or
       ``range(Q) + range(Q)`` (companion) is invariant and the map is
       nilpotent on the quotient: the spectrum is that of the r x r
       ``Q^T B Q``, or of the 2r x 2r companion of the ``Q^T B_i Q``, plus
-      zeros.
+      zeros.  For r = n, as in square-corollary mode (an identity basis), the
+      full matrix is eigensolved.
 
-    r = n takes the radius of the full matrix by a dense eigensolve, as
-    square-corollary mode does; r = 0 gives 0.0 without an eigensolve.
+    r = 0 gives 0.0 without a bracket or an eigensolve.
     """
     n, r = basis.shape
     if r == 0:
         return 0.0
+    bracket = _perron_bracket(blocks, _bracket_budget(blocks, r))
+    if bracket is not None and not bracket[0] <= 1.0 <= bracket[1]:
+        return 0.5 * (bracket[0] + bracket[1])
     if r < n:
-        bracket = _perron_bracket(blocks, r)
-        if bracket is not None:
-            return 0.5 * (bracket[0] + bracket[1])
         blocks = [basis.T @ (b @ basis) for b in blocks]
     m = blocks[0] if len(blocks) == 1 else companion_from_blocks(*blocks)
     return spectral_radius(m, cfg)

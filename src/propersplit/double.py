@@ -138,15 +138,10 @@ class ConvergenceReport:
     splitting is not at least weak regular, where no equivalence is claimed.
     ``guaranteed_convergent`` is True when A is semi-monotone and the class is
     weak regular or stronger, the hypotheses under which convergence is a
-    theorem; it is ``None`` when those hypotheses fail.  When 0 < r < n,
-    r = rank(P), each radius is the midpoint of a Collatz-Wielandt bracket
-    from power iteration on the full nonnegative W (or ``P^+(R-S)``) when its
-    blocks are sign-correct, as for a weak regular splitting, and otherwise
-    comes from the restriction to ``range(P^+)``: ``rho_w`` from the 2r x 2r
-    companion of ``V_r^T P^+R V_r`` and ``V_r^T P^+S V_r``, which has the
-    nonzero spectrum of W (see ``core._restricted_radius``).  r = n takes the
-    full eigensolve.  The field order is the key order of the CLI's
-    ``classify double`` JSON document.
+    theorem; it is ``None`` when those hypotheses fail.  Both radii follow
+    the one radius rule, ``core._restricted_radius``, on ``range(P^+)``.
+    The field order is the key order of the CLI's ``classify double`` JSON
+    document.
     """
 
     splitting_class: DoubleSplittingClass
@@ -161,9 +156,8 @@ class ConvergenceReport:
 def check_convergence(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConvergenceReport:
-    """Classify d and take both radii by the Perron bracket or on
-    ``range(P^+)``: no 2n x 2n eigensolve when rank(P) < n (see
-    :class:`ConvergenceReport`)."""
+    """Classify d and take both radii on ``range(P^+)`` by the rule of
+    ``core._restricted_radius``."""
     cls = classify_double(d, cfg)
     basis = d.rowspace(cfg)
     rho_w = _restricted_radius(basis, d.blocks(cfg), cfg)

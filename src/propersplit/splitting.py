@@ -203,12 +203,9 @@ class SemimonotoneEquivalenceReport:
     ``A^+ V >= 0`` and ``rho(U^+ V) < 1`` hold or fail together; ``agree``
     records whether the computed verdicts actually did.  ``splitting_class``
     is the class the check found, so a caller needs no second
-    :func:`classify_single`.  When 0 < r < n, r = rank(U),
-    ``iteration_radius`` is the midpoint of a Collatz-Wielandt bracket from
-    power iteration on the n x n ``U^+ V`` when ``U^+ V >= 0`` holds exactly,
-    and otherwise is taken on the r x r restriction of ``U^+ V`` to
-    ``range(U^+)`` (see ``core._restricted_radius``).  The field order is the
-    key order of the CLI's ``classify single`` JSON document, where the
+    :func:`classify_single`.  ``iteration_radius`` follows the one radius
+    rule, ``core._restricted_radius``, on ``range(U^+)``.  The field order is
+    the key order of the CLI's ``classify single`` JSON document, where the
     class comes before the projector residuals.
     """
 

@@ -1,10 +1,13 @@
 """The Perron bracket path of the spectral radii (``core._perron_bracket``).
 
-When 0 < rank(P) < n and the companion blocks are sign-correct, every radius
-the checks report is the midpoint of a Collatz-Wielandt bracket from power
-iteration on the full nonnegative map.  The dense eigensolve of the full
-matrix is the independent reference; the restricted eigensolve, today's
-fallback, must be reproduced bit for bit whenever the bracket gives up.
+When 0 < rank(P) <= n and the companion blocks are sign-correct, every
+radius the checks report is the midpoint of a Collatz-Wielandt bracket from
+power iteration on the full nonnegative map, square-corollary mode included.
+The dense eigensolve of the full matrix is the independent reference.
+Whenever the bracket gives up, the eigensolve it replaces must be reproduced
+bit for bit: the restricted one when rank(P) < n, the full one when
+rank(P) = n.  The same loop is the fallback of ``spectrum``'s dominant
+vector (``core._perron_vector``).
 """
 
 import numpy as np
@@ -62,8 +65,8 @@ def bracket_outcomes(monkeypatch):
     outcomes = []
     real = core._perron_bracket
 
-    def recording(blocks, r):
-        result = real(blocks, r)
+    def recording(blocks, budget):
+        result = real(blocks, budget)
         outcomes.append(result)
         return result
 
@@ -73,7 +76,7 @@ def bracket_outcomes(monkeypatch):
 
 def _without_bracket(monkeypatch, thunk):
     with monkeypatch.context() as patch:
-        patch.setattr(core, "_perron_bracket", lambda blocks, r: None)
+        patch.setattr(core, "_perron_bracket", lambda blocks, budget: None)
         return thunk()
 
 
@@ -150,7 +153,7 @@ class TestDifferential:
                 (d.blocks(), iteration_matrix(d)),
                 ((induced_single(d).block(),), induced_single(d).block()),
             ):
-                lo, hi = core._perron_bracket(blocks, r)
+                lo, hi, _ = core._perron_bracket(blocks, core._bracket_budget(blocks, r))
                 rho = spectral_radius(full)
                 assert lo <= rho <= hi
                 target = max(core._BRACKET_RTOL, 4.0 * (n + 2) * np.finfo(float).eps / 2.0)
@@ -163,10 +166,11 @@ def test_bracket_is_widened_by_its_rounding_bound():
     # and only the widening keeps the computed radius strictly inside
     n = 64
     m = np.full((n, n), 0.5 / n)
-    lo, hi = core._perron_bracket((m,), n // 2)
+    lo, hi, v = core._perron_bracket((m,), core._bracket_budget((m,), n // 2))
     rounding = (n + 2) * np.finfo(float).eps / 2.0
     assert lo < 0.5 < hi
     assert lo == 0.5 * (1.0 - rounding) and hi == 0.5 * (1.0 + rounding)
+    assert np.array_equal(v, np.ones(n))
 
 
 def test_weak_regular_radii_take_no_eigensolve(count_eigsolves):
@@ -209,14 +213,16 @@ class TestFallback:
     def test_bracket_straddling_one(self):
         # rho(W) = 1 makes I - P^+R + P^+S singular, so no proper splitting
         # has it; scaling the blocks of one to (B1 / rho, B2 / rho^2) scales
-        # the companion's radius to 1 (and that of U^+V / rho likewise)
+        # the companion's radius to 1 (and that of U^+V / rho likewise); the
+        # bracket closes around 1, and the radius code must not use it
         d = weak_regular_double(default_rng(75), 120, 100, 50, rho=0.9)
         q = d.rowspace()
         pr, ps = d.blocks()
         rho_w = spectral_radius(iteration_matrix(d))
         m = induced_single(d).block()
         for blocks in ((pr / rho_w, ps / rho_w**2), (m / spectral_radius(m),)):
-            assert core._perron_bracket(blocks, 50) is None
+            lo, hi, _ = core._perron_bracket(blocks, core._bracket_budget(blocks, 50))
+            assert lo <= 1.0 <= hi
             radius = core._restricted_radius(q, blocks, ToleranceConfig())
             assert radius == _restricted_eig(q, blocks)
             assert abs(radius - 1.0) <= 1e-12
@@ -242,13 +248,74 @@ class TestFallback:
         self._assert_restricted(d)
 
 
-def test_full_rank_and_rank_zero_never_run_the_bracket(bracket_outcomes):
-    rng = default_rng(77)
-    d = weak_regular_double(rng, 7, 5, 5, rho=0.9)
-    check_convergence(d)
+def test_rank_zero_skips_the_bracket_and_full_rank_gives_up_to_the_full_eigensolve(
+    bracket_outcomes,
+):
     zero = np.zeros((3, 2))
     r = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 3.0]])
     check_convergence(make_pds(zero, zero, r, r))
-    d1, d2 = comparison_pair(rng, TheoremId.WEAK_VS_WEAK, 4, 4, 4)
-    compare(TheoremId.WEAK_VS_WEAK, d1, d2, square_corollary=True)
     assert bracket_outcomes == []
+    # full rank, R = 0 (S absorbs it, A unchanged): W has period 2, so the
+    # bracket gives up and the full companion is eigensolved
+    g = weak_regular_double(default_rng(77), 7, 5, 5, rho=0.9)
+    d = make_pds(g.a, g.p, np.zeros_like(g.r), g.s - g.r)
+    assert d.rowspace().shape == (5, 5)
+    assert check_convergence(d).rho_w == spectral_radius(iteration_matrix(d))
+    assert bracket_outcomes[0] is None
+
+
+class TestFullRank:
+    """Square full-rank weak regular splittings: the bracket runs at r = n,
+    and in square-corollary mode, with no eigensolve."""
+
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_check_convergence(self, n, count_eigsolves, bracket_outcomes, monkeypatch):
+        d = weak_regular_double(default_rng(78), n, n, n, 0.95)
+        assert d.rowspace().shape == (n, n)
+        assert count_eigsolves(lambda: check_convergence(d)) == 0
+        got = check_convergence(d)
+        assert len(bracket_outcomes) == 4 and None not in bracket_outcomes
+        assert _close(got.rho_w, spectral_radius(iteration_matrix(d)))
+        assert _close(got.rho_induced, spectral_radius(induced_single(d).block()))
+        want = _without_bracket(monkeypatch, lambda: check_convergence(d))
+        assert got.splitting_class is want.splitting_class
+        assert got.converges == want.converges
+        assert got.biconditional_agrees == want.biconditional_agrees
+        assert got.guaranteed_convergent == want.guaranteed_convergent
+
+    def test_square_corollary_compare(self, count_eigsolves, bracket_outcomes, monkeypatch):
+        # the companions of this pair mix fast (second eigenvalue modulus at
+        # most 0.6 rho), so both brackets answer within their budget
+        d1, d2 = comparison_pair(default_rng(3), TheoremId.WEAK_VS_WEAK, 40, 40, 40)
+        run = lambda: compare(TheoremId.WEAK_VS_WEAK, d1, d2, square_corollary=True)  # noqa: E731
+        bracket_outcomes.clear()  # the generator checks its pair through the same code
+        assert count_eigsolves(run) == 0
+        assert len(bracket_outcomes) == 2 and None not in bracket_outcomes
+
+    def test_square_corollary_verdicts_equal_the_eigensolve_path(self, monkeypatch):
+        rng = default_rng(79)
+        for theorem in TheoremId:
+            d1, d2 = comparison_pair(rng, theorem, 40, 40, 40)
+            run = lambda: compare(theorem, d1, d2, square_corollary=True)  # noqa: E731
+            got = run()
+            for rho, d in ((got.rho1, d1), (got.rho2, d2)):
+                assert _close(rho, spectral_radius(iteration_matrix(d)))
+            want = _without_bracket(monkeypatch, run)
+            assert got.conclusion_observed == want.conclusion_observed
+            assert got.conclusion_predicted == want.conclusion_predicted
+            assert got.branch_used is want.branch_used
+
+
+def test_perron_vector_falls_back_to_the_bracket_iterate(bracket_outcomes):
+    # an eigenvector basis with no usable column: every one is mixed-sign
+    rng = default_rng(80)
+    m = rng.uniform(0.1, 1.0, (6, 6))
+    vals = np.linalg.eigvals(m)
+    rho = float(np.max(np.abs(vals)))
+    vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    assert np.all(np.min(vecs, axis=0) < 0.0) and np.all(np.max(vecs, axis=0) > 0.0)
+    cfg = ToleranceConfig()
+    v = core._perron_vector(m, vals, vecs, rho, cfg)
+    assert len(bracket_outcomes) == 1 and bracket_outcomes[0] is not None
+    assert np.min(v) >= 0.0 and np.max(v) == 1.0
+    assert np.linalg.norm(m @ v - rho * v) <= cfg.spectral_tol

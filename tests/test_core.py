@@ -184,7 +184,8 @@ class TestPerronFrobenius:
         assert spec.dominant_vector is None
 
     def test_permutation_matrix(self):
-        # periodic matrix: eig basis is usable only through the fallback
+        # periodic matrix: the eigenvector scan answers, with the basis vector
+        # of eigenvalue 1, so the power-iteration fallback never runs
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         spec = eigenvalues(m)
         assert spec.dominant_vector is not None
