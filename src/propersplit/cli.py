@@ -17,8 +17,10 @@ Output is text by default; the text report is rendered from the one JSON
 document ``--format json`` prints.  For ``spectrum``, ``classify`` and
 ``compare`` that document is the library report encoded field by field, with
 four keys renamed (``_RENAMED``); ``--echo-inputs`` adds every input, vectors
-as flat lists.  All tolerances are flag-overridable so a report is
-reproducible from the command line alone.
+as flat lists.  Every tolerance but ``rank_rel_cutoff`` is flag-overridable;
+that one has no flag, so the CLI always takes the default rank cutoff,
+``max(m, n) * eps``, and a report made with another cutoff cannot be
+reproduced from the command line.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ __all__ = [
     "nullspace_projector",
     "has_zero_row",
     "max_abs_diff",
-    "matrices_equal",
 ]
 
 
@@ -444,8 +443,3 @@ def max_abs_diff(a, b) -> float:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot diff shapes {a.shape} and {b.shape}")
     return float(np.max(np.abs(a - b)))
-
-
-def matrices_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Entrywise equality within eq_abs_tol."""
-    return max_abs_diff(a, b) <= cfg.eq_abs_tol

@@ -2,14 +2,15 @@
 
 The two-step scheme driven by such a splitting has the 2n x 2n block
 companion matrix ``W = [[P^+ R, -P^+ S], [I, 0]]``; its spectral radius
-decides convergence.  The splitting also induces the single splitting
-``U = P, V = R - S``, whose iteration radius is equivalent to ``rho(W) < 1``.
+decides convergence.  The splitting is, term for term, the proper single
+splitting ``U = P, V = R - S``, whose ``rho(U^+ V) < 1`` is, for a weak
+regular splitting, equivalent to ``rho(W) < 1``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,31 +48,25 @@ class DoubleSplittingClass(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class ProperDoubleSplitting:
-    """Validated quadruple A = P - R + S with P proper over A."""
+class ProperDoubleSplitting(ProperSplitting):
+    """Validated quadruple A = P - R + S with P proper over A.
 
-    a: np.ndarray
-    p: np.ndarray
+    It is its induced single splitting ``U = P, V = R - S``, with R and S
+    kept beside it: proper-ness, ``pinvs``, ``rowspace``, ``block`` and the
+    memo holding them are those of that splitting."""
+
     r: np.ndarray
     s: np.ndarray
-    _induced: ProperSplitting = field(init=False, repr=False)
 
-    def __post_init__(self):
-        v = as_matrix(self.r - self.s, readonly=True)
-        object.__setattr__(self, "_induced", ProperSplitting(self.a, self.p, v))
-
-    def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(A^+, P^+)``, those of the induced splitting U = P."""
-        return self._induced.pinvs(cfg)
-
-    def rowspace(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-        """Read-only orthonormal basis of ``range(P^+)``, the induced splitting's."""
-        return self._induced.rowspace(cfg)
+    @property
+    def p(self) -> np.ndarray:
+        """P, which is U."""
+        return self.u
 
     def blocks(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(P^+ R, P^+ S)``, kept beside the induced splitting's own."""
+        """Read-only ``(P^+ R, P^+ S)``, kept beside ``block``'s ``P^+ (R - S)``."""
         p_pinv = self.pinvs(cfg)[1]
-        return self._induced._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
+        return self._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
 
 
 def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDoubleSplitting:
@@ -87,8 +82,8 @@ def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDou
     mismatch = max_abs_diff(a, p - r + s)
     if mismatch > cfg.eq_abs_tol:
         raise DecompositionMismatchError(mismatch, cfg.eq_abs_tol)
-    d = ProperDoubleSplitting(a, p, r, s)
-    _require_proper(d._induced, cfg)
+    d = ProperDoubleSplitting(a, p, as_matrix(r - s, readonly=True), r, s)
+    _require_proper(d, cfg)
     return d
 
 
@@ -122,10 +117,8 @@ def iteration_matrix(
 
 
 def induced_single(d: ProperDoubleSplitting) -> ProperSplitting:
-    """The single splitting U = P, V = R - S, built with d; proper-ness, the
-    pseudoinverses A^+, P^+ and the memo holding them are one and the same
-    for both."""
-    return d._induced
+    """The single splitting U = P, V = R - S, which d is."""
+    return d
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,7 @@ def check_convergence(
     cls = classify_double(d, cfg)
     basis = d.rowspace(cfg)
     rho_w = _restricted_radius(basis, d.blocks(cfg), cfg)
-    rho_induced = _restricted_radius(basis, (induced_single(d).block(cfg),), cfg)
+    rho_induced = _restricted_radius(basis, (d.block(cfg),), cfg)
     semi = is_nonneg(d.pinvs(cfg)[0], cfg)
     converges = rho_w < 1.0
 

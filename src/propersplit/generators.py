@@ -138,18 +138,28 @@ def random_frame(
     return Frame(left, right)
 
 
-def _projected_nonneg(rng, frame: Frame, rho: float, cfg: ToleranceConfig) -> np.ndarray:
+def _radius_scale(x: np.ndarray, rho: float) -> float | None:
+    """``rho / rho(x)`` from one eigensolve of the iteration matrix x, or None
+    when ``rho(x)`` is negligible or x so scaled has an eigenvalue within 1e-8
+    of 1, where the derived ``A = U(I - x)`` would lose rank."""
+    vals = np.linalg.eigvals(x)
+    radius = float(np.max(np.abs(vals)))
+    if radius <= 1e-12:
+        return None
+    scale = rho / radius
+    if np.min(np.abs(1.0 - vals * scale)) <= 1e-8:
+        return None
+    return scale
+
+
+def _projected_nonneg(rng, frame: Frame, rho: float) -> np.ndarray:
     """Nonnegative H = Pi H0 Pi with spectral radius exactly rho."""
     proj = frame.row_projector()
     for _ in range(_MAX_TRIES):
         h = proj @ rng.uniform(0.0, 1.0, (frame.n, frame.n)) @ proj
-        radius = spectral_radius(h, cfg)
-        if radius <= 1e-12:
-            continue
-        h = h * (rho / radius)
-        # the derived A = P(I - H) needs I - H nonsingular
-        if np.min(np.abs(1.0 - np.linalg.eigvals(h))) > 1e-8:
-            return h
+        scale = _radius_scale(h, rho)
+        if scale is not None:
+            return h * scale
     raise RuntimeError("could not draw a projected nonnegative matrix")
 
 
@@ -199,15 +209,17 @@ def weak_regular_double(
     frame = frame or random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
-    h = _projected_nonneg(rng, frame, rho, cfg)
+    h = _projected_nonneg(rng, frame, rho)
     lam = rng.uniform(0.05, 0.95, (frame.n, frame.n))
+    ph = p @ h
     r = p @ (h * lam)
-    s = r - p @ h
-    a = _frame_project(frame, p - p @ h)
+    s = r - ph
+    a = _frame_project(frame, p - ph)
     if nullspace_mix > 0.0:
-        z = _nullspace_shift(rng, frame, nullspace_mix * max(np.max(np.abs(p @ h)), 1e-3))
+        z = _nullspace_shift(rng, frame, nullspace_mix * max(np.max(np.abs(ph)), 1e-3))
         r = r - z
         s = s - z
+    del ph  # as large as A: not kept alive while make_pds factors P
     return make_pds(a, p, r, s, cfg)
 
 
@@ -227,12 +239,10 @@ def regular_double(
     p_pinv = frame.splitting_pinv(g)
     for _ in range(_MAX_TRIES):
         v = frame.col_projector() @ rng.uniform(0.2, 1.0, (m, n)) @ frame.row_projector()
-        radius = spectral_radius(p_pinv @ v, cfg)
-        if radius <= 1e-12:
+        scale = _radius_scale(p_pinv @ v, rho)
+        if scale is None:
             continue
-        v = v * (rho / radius)
-        if np.min(np.abs(1.0 - np.linalg.eigvals(p_pinv @ v))) <= 1e-8:
-            continue
+        v = v * scale
         theta = rng.uniform(0.05, 0.95, (m, n))
         r, s = _convex_split(v, theta)
         return make_pds(_frame_project(frame, p - v), p, r, s, cfg)
@@ -252,7 +262,7 @@ def weak_regular_single(
     frame = frame or random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     u = frame.splitting_matrix(g)
-    h = _projected_nonneg(rng, frame, rho, cfg)
+    h = _projected_nonneg(rng, frame, rho)
     return make_proper_splitting(_frame_project(frame, u - u @ h), u, cfg)
 
 
@@ -272,12 +282,10 @@ def weak_regular_single_square(
         except np.linalg.LinAlgError:
             continue
         h = rng.uniform(0.0, 1.0, (n, n))
-        radius = spectral_radius(h, cfg)
-        if radius <= 1e-12:
+        scale = _radius_scale(h, rho)
+        if scale is None:
             continue
-        h = h * (rho / radius)
-        if np.min(np.abs(1.0 - np.linalg.eigvals(h))) <= 1e-8:
-            continue
+        h = h * scale
         return make_proper_splitting(u - u @ h, u, cfg)
     raise RuntimeError("could not draw a square weak regular splitting")
 
@@ -421,14 +429,15 @@ def _shared_p_pair(rng, m, n, rank, cfg):
     frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
-    h = _projected_nonneg(rng, frame, rng.uniform(0.2, 0.9), cfg)
+    h = _projected_nonneg(rng, frame, rng.uniform(0.2, 0.9))
     lam2 = rng.uniform(0.05, 0.95, (n, n))
     lam1 = lam2 + rng.uniform(0.0, 1.0, (n, n)) * (1.0 - lam2)
-    a = _frame_project(frame, p - p @ h)
+    ph = p @ h
+    a = _frame_project(frame, p - ph)
     out = []
     for lam in (lam1, lam2):
         r = p @ (h * lam)
-        s = r - p @ h
+        s = r - ph
         out.append(make_pds(a, p, r, s, cfg))
     return out[0], out[1]
 

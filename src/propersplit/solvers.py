@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, ToleranceConfig, as_vector, pinv
-from .double import ProperDoubleSplitting, induced_single
+from .double import ProperDoubleSplitting
 from .splitting import ProperSplitting
 
 __all__ = ["OVERFLOW_GUARD", "IterationTrace", "min_norm_lsq", "solve_single", "solve_double"]
@@ -221,5 +221,5 @@ def solve_double(
         row -= ps.dot(x_prev)
         row += pb
 
-    x0_flag = _in_nullspace(induced_single(d).v, x_prev, cfg)
+    x0_flag = _in_nullspace(d.v, x_prev, cfg)
     return _iterate(update, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg)

@@ -246,6 +246,24 @@ class TestFallback:
         assert np.min(np.max(np.abs(d.blocks()[0]), axis=1)) == 0.0
         assert core._perron_bracket(d.blocks(), 50) is None
         self._assert_restricted(d)
+        # the blocks miss exact signs by rounding, which alone stops the
+        # bracket above; clamped to exact signs, the zero rows stop it
+        pr, ps = d.blocks()
+        assert core._perron_bracket((np.maximum(pr, 0.0), np.minimum(ps, 0.0)), 50) is None
+
+
+def test_zero_iterate_entry_stops_the_bracket_at_the_first_step():
+    class Counted(np.ndarray):
+        matvecs = 0
+
+        def __matmul__(self, other):
+            Counted.matvecs += 1
+            return np.asarray(self) @ other
+
+    # reducible and nonnegative: W e = (2, 0), so no positive iterate follows
+    w = np.array([[1.0, 1.0], [0.0, 0.0]]).view(Counted)
+    assert core._perron_bracket((w,), 50) is None
+    assert Counted.matvecs == 1
 
 
 def test_rank_zero_skips_the_bracket_and_full_rank_gives_up_to_the_full_eigensolve(

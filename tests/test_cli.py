@@ -344,6 +344,17 @@ def test_readme_command_runs(command, monkeypatch, capsys):
     assert main(words[1:]) == 0, capsys.readouterr().err
 
 
+def test_readme_quick_start_runs():
+    """The ``python`` block under "Library quick start" in the README."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    trace, a = namespace["trace"], namespace["a"]
+    assert trace.converged
+    assert np.allclose(trace.limit, np.linalg.pinv(a) @ [1.0, 1.0], atol=1e-9)
+
+
 _SEVEN = ("a", "p1", "r1", "s1", "p2", "r2", "s2")
 
 # ``exN_*`` names a bundled file, ``sq_*`` a file of a generated square pair

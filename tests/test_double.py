@@ -25,6 +25,7 @@ from propersplit import (
     solve_single,
     spectral_radius,
 )
+from propersplit import double
 from propersplit.generators import (
     comparison_pair,
     nonneg_block_pair,
@@ -128,12 +129,30 @@ class TestInducedSingle:
         s = induced_single(ex2_splittings[0])
         assert np.array_equal(s.v, np.array([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
 
+    def test_is_the_double_splitting_itself(self, ex1_splittings):
+        d = ex1_splittings[0]
+        assert induced_single(d) is d
+        assert d.p is d.u and np.array_equal(d.v, d.r - d.s)
+        assert not d.v.flags.writeable
+
 
 class TestCheckConvergence:
     def test_trivial(self):
         rep = check_convergence(identity_pds())
         assert rep.rho_w == 0.0 and rep.rho_induced == 0.0
         assert rep.converges and rep.biconditional_agrees
+
+    @pytest.mark.parametrize("gap, agrees", [(0.5, True), (2.0, False)])
+    def test_radii_across_one_agree_only_within_spectral_tol(self, monkeypatch, gap, agrees):
+        # rho(W) below 1 and rho(P^+(R-S)) above it, each gap * spectral_tol
+        # away from 1: inside the band the verdicts count as consistent
+        cfg = ToleranceConfig(spectral_tol=1e-6)
+        radii = {2: 1.0 - gap * cfg.spectral_tol, 1: 1.0 + gap * cfg.spectral_tol}
+        monkeypatch.setattr(double, "_restricted_radius", lambda q, blocks, c: radii[len(blocks)])
+        rep = check_convergence(identity_pds(), cfg)
+        assert rep.splitting_class is DoubleSplittingClass.REGULAR
+        assert (rep.rho_w, rep.rho_induced) == (radii[2], radii[1])
+        assert rep.biconditional_agrees is agrees
 
     def test_first_example_split1(self, ex1, ex1_splittings):
         rep = check_convergence(ex1_splittings[0])
