@@ -5,6 +5,12 @@ the two-step recursion ``x_{k+1} = P^+ R x_k - P^+ S x_{k-1} + P^+ b``.  Both
 converge to the minimum-norm least-squares solution ``A^+ b`` exactly when the
 spectral radius of the corresponding iteration matrix is below one.
 
+Every block maps into ``range(P^+) = span(V_r)`` (``range(U^+)`` for the
+single scheme), so every computed iterate is ``V_r z + c`` with c the constant
+term and z in R^r.  Each step is one gemv on z, and each block of z rows is
+lifted to x once (see :func:`_advance`); the traces still hold every iterate
+in full coordinates, and their rows are the full recursion to rounding.
+
 A note on starting vectors: the classical treatment of the single-splitting
 scheme both requires the initial vector to avoid the null space of V and
 asserts convergence regardless of the initial vector.  The traces therefore
@@ -74,7 +80,7 @@ def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> boo
         return bool(lhs <= tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
 
 
-# The updates run back to back into blocks of rows; the norms then run once
+# The steps run back to back into blocks of rows; the norms then run once
 # per block.  A block holds as many rows as the run has used so far, at least
 # _FIRST_CHUNK and at most _CHUNK, so the blocks end after rows 8, 16, 32, 64
 # and then every 64 rows.  A run that stops after k > _FIRST_CHUNK rows has
@@ -84,21 +90,20 @@ _FIRST_CHUNK = 8
 _CHUNK = 64
 
 
-def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
-    """Run ``update(row, x_curr, x_prev)``, which writes the next iterate into
-    ``row``, from the starting vector(s) ``start`` (``x_prev`` is None for a
-    one-step scheme).
+def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
+    """Run ``advance(k)``, which returns the next k iterates as a fresh
+    ``(k, n)`` array, from the starting vector(s) ``start``.
 
-    The loop works in blocks of rows (see ``_FIRST_CHUNK``).  It first runs
-    the updates back to back into a fresh ``(k, n)`` block.  It then takes every
-    step norm ``|x_next - x_curr|`` and every iterate norm ``|x_next|`` of the
-    block at once, each the ``sqrt`` of a per-row dot product, as
-    ``np.linalg.norm`` computes it, and applies the stop rules row by row.  A
-    run stops:
+    The loop works in blocks of rows (see ``_FIRST_CHUNK``).  It first asks
+    ``advance`` for a block.  It then takes every step norm
+    ``|x_next - x_curr|`` and every iterate norm ``|x_next|`` of the block at
+    once, each the ``sqrt`` of a per-row dot product, as ``np.linalg.norm``
+    computes it, and applies the stop rules row by row.  A run stops:
 
     * diverged, on an iterate whose norm is not <= ``OVERFLOW_GUARD``, which
-      includes an iterate with NaN or Inf entries (the loop's arithmetic runs
-      with overflow and invalid-operation warnings off, so none is raised);
+      includes an iterate with NaN or Inf entries (the loop's arithmetic,
+      ``advance`` included, runs with overflow and invalid-operation warnings
+      off, so none is raised);
     * at ``cfg.max_iter``;
     * or once ``need_small`` consecutive steps are <= ``cfg.solve_tol`` and the
       geometric tail ``step * r / (1 - r)`` is itself below the tolerance.
@@ -111,8 +116,6 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     """
     tol = cfg.solve_tol
     iterates = [x.copy() for x in start]
-    x_prev = iterates[-2] if len(iterates) > 1 else None
-    x_curr = iterates[-1]
     residuals: list[float] = []
     ratios: list[float] = []
     prev_step = math.inf
@@ -122,13 +125,9 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0 and not (step_ok or diverged):
             size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, left)
-            rows = np.empty((size, x_curr.size))
-            before = x_curr
-            for row in rows:
-                update(row, x_curr, x_prev)
-                x_prev, x_curr = x_curr, row
+            rows = advance(size)
             diff = np.empty_like(rows)
-            np.subtract(rows[0], before, out=diff[0])
+            np.subtract(rows[0], iterates[-1], out=diff[0])
             np.subtract(rows[1:], rows[:-1], out=diff[1:])
             # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
             steps = np.sqrt(np.vecdot(diff, diff)).tolist()
@@ -174,6 +173,87 @@ def _iterate(update, start, reference, need_small, x0_flag, cfg) -> IterationTra
     )
 
 
+def _step_matrices(s: ProperSplitting, name: str, blocks, cfg: ToleranceConfig):
+    """Read-only ``(M0, V_r^T B_1, ..., V_r^T B_h)`` for the recursion
+    ``x_{k+1} = B_1 x_k + ... + B_h x_{k-h+1} + c``, whose blocks
+    ``(B_1, ..., B_h) = blocks()`` map into ``range(V_r)``, V_r being
+    ``s.rowspace(cfg)`` (n x r), kept in the splitting's memo under ``name``.
+
+    ``M0 = [G_h, 0, ..., G_1, 0]`` (r x h(r+1)), with ``G_j = V_r^T B_j V_r``,
+    is the step matrix of :func:`_advance` before its last column is filled.
+    At r = n the coordinates are x itself: ``G_j = B_j`` and no ``V_r^T B_j``
+    is kept."""
+
+    def make():
+        basis, bs = s.rowspace(cfg), blocks()
+        n, r = basis.shape
+        reads = () if r == n else tuple(basis.T @ b for b in bs)
+        coords = bs if r == n else [read @ basis for read in reads]
+        m0 = np.zeros((r, len(bs) * (r + 1)))
+        for j, g in enumerate(reversed(coords)):
+            m0[:, j * (r + 1) : j * (r + 1) + r] = g
+        return (m0, *reads)
+
+    return s._owned(name, cfg, make)
+
+
+def _advance(mats, basis: np.ndarray, c: np.ndarray, start):
+    """``advance(k)`` for :func:`_iterate`, for ``mats`` from
+    :func:`_step_matrices` and the recursion's constant term c.
+
+    For r < n every computed iterate is ``x = V_r z + c`` with z in R^r, since
+    every block maps into ``range(V_r)``.  The z rows sit in one buffer as
+    ``[z, 1]``, so the last h rows are one contiguous window and a step is
+    one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``, with
+    ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``.  The first h steps read
+    the starts, which may lie outside ``range(V_r)``, through the r x n
+    ``V_r^T B_j``.  Each block of z rows is lifted to x once, by one gemm and
+    one add.  With B = 0 every iterate is c bit for bit.
+
+    At r = n the rows are ``[x, 1]``, ``M = [B_h, 0, ..., B_1, c]``, and the
+    starts are rows like any other: no step reads them apart and no lift
+    runs."""
+    m0, *reads = mats
+    restricted = bool(reads)  # r < n
+    r, h = m0.shape[0], len(start)
+    width = r + 1
+    m = m0.copy()
+    m[:, -1] = sum(vb @ c for vb in reads) if restricted else c
+    step = m.dot  # the bound method skips np.dot's dispatch, about 0.5 us a step
+    head = np.ones((h, width))  # the last h rows of the previous block
+    if not restricted:
+        head[:, :r] = start
+    xs = list(start)  # the full-coordinate inputs of the first h steps
+    first = h if restricted else 0
+
+    def advance(k):
+        nonlocal head, first
+        rows = np.empty((h + k, width))
+        rows[:h] = head
+        rows[h:, r] = 1.0
+        lead = min(first, k)
+        first -= lead
+        for row in rows[h : h + lead, :r]:
+            row[:] = sum(vb @ x for vb, x in zip(reads, reversed(xs)))
+            xs.append(basis @ row + c)
+            del xs[0]
+        # row i's window is the h rows before it, [z_{i-h}, 1, ..., z_{i-1}, 1]
+        stride = rows.strides[0]
+        windows = np.ndarray(
+            (k - lead, h * width), buffer=rows, offset=lead * stride, strides=(stride, rows.itemsize)
+        )
+        for window, row in zip(windows, rows[h + lead :, :r]):
+            step(window, out=row)
+        head = rows[-h:]
+        if not restricted:
+            return rows[h:, :r].copy()
+        x = rows[h:, :r] @ basis.T
+        x += c
+        return x
+
+    return advance
+
+
 def solve_single(
     s: ProperSplitting, b, x0=None, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> IterationTrace:
@@ -182,16 +262,9 @@ def solve_single(
     b = as_vector(b, length=m)
     x = np.zeros(n) if x0 is None else as_vector(x0, length=n)
     a_pinv, u_pinv = s.pinvs(cfg)
-    h = s.block(cfg)
-    c = u_pinv @ b
-    x0_flag = _in_nullspace(s.v, x, cfg)
-
-    def update(row, x_curr, _):
-        # in place, with the rounding of h @ x_curr + c
-        h.dot(x_curr, out=row)
-        row += c
-
-    return _iterate(update, [x], a_pinv @ b, 1, x0_flag, cfg)
+    mats = _step_matrices(s, "step U^+V", lambda: (s.block(cfg),), cfg)
+    advance = _advance(mats, s.rowspace(cfg), u_pinv @ b, [x])
+    return _iterate(advance, [x], a_pinv @ b, 1, _in_nullspace(s.v, x, cfg), cfg)
 
 
 def solve_double(
@@ -213,13 +286,7 @@ def solve_double(
     x_curr = np.zeros(n) if x1 is None else as_vector(x1, length=n)
     a_pinv, p_pinv = d.pinvs(cfg)
     pr, ps = d.blocks(cfg)
-    pb = p_pinv @ b
-
-    def update(row, x_curr, x_prev):
-        # in place, with the rounding of pr @ x_curr - ps @ x_prev + pb
-        pr.dot(x_curr, out=row)
-        row -= ps.dot(x_prev)
-        row += pb
-
-    x0_flag = _in_nullspace(d.v, x_prev, cfg)
-    return _iterate(update, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg)
+    mats = _step_matrices(d, "step P^+R, -P^+S", lambda: (pr, -ps), cfg)
+    start = [x_prev, x_curr]
+    advance = _advance(mats, d.rowspace(cfg), p_pinv @ b, start)
+    return _iterate(advance, start, a_pinv @ b, 2, _in_nullspace(d.v, x_prev, cfg), cfg)

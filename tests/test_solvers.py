@@ -19,9 +19,17 @@ from propersplit import (
     solve_single,
     spectral_radius,
 )
+from propersplit import solvers
 from propersplit.double import ProperDoubleSplitting
 from propersplit.generators import weak_regular_double
-from propersplit.solvers import _CHUNK, _FIRST_CHUNK, OVERFLOW_GUARD, IterationTrace, _iterate
+from propersplit.solvers import (
+    _CHUNK,
+    _FIRST_CHUNK,
+    OVERFLOW_GUARD,
+    IterationTrace,
+    _iterate,
+    _step_matrices,
+)
 
 
 class TestMinNormLsq:
@@ -223,8 +231,10 @@ class TestOverflowingStart:
 
 # The solver loop as it was before it took one step norm and one iterate norm
 # per iteration: three np.linalg.norm calls and an np.isfinite pass per step,
-# and the tail guard as a class.  Kept verbatim as the oracle that the current
-# loop must match bit for bit.
+# and the tail guard as a class.  Kept verbatim as the oracle whose stop rules
+# the current loop must match bit for bit, on the rows the solver computed
+# (see _replayed), and whose full-coordinate recursion the solver's own
+# arithmetic must match to rounding (see TestRestrictedArithmetic).
 
 def _reference_in_nullspace(v_mat, x, cfg):
     return bool(np.linalg.norm(v_mat @ x) <= cfg.solve_tol * (1.0 + np.linalg.norm(x)))
@@ -300,16 +310,21 @@ def _reference_iterate(update, start, reference, need_small, x0_flag, cfg) -> It
     )
 
 
-def _reference_solve_single(s, b, x0, cfg):
+def _reference_solve_single(s, b, x0, cfg, rows=None):
+    """The reference loop on the recursion ``x_{i+1} = U^+V x_i + U^+b``, or,
+    given ``rows``, on those rows replayed in order."""
     x = np.zeros(s.a.shape[1]) if x0 is None else np.array(x0, dtype=float)
     a_pinv, u_pinv = s.pinvs(cfg)
     h = s.block(cfg)
     c = u_pinv @ b
     x0_flag = _reference_in_nullspace(s.v, x, cfg)
-    return _reference_iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
+    update = (lambda xs: h @ xs[-1] + c) if rows is None else _replay(rows)
+    return _reference_iterate(update, [x], a_pinv @ b, 1, x0_flag, cfg)
 
 
-def _reference_solve_double(d, b, x0, x1, cfg):
+def _reference_solve_double(d, b, x0, x1, cfg, rows=None):
+    """The reference loop on the two-step recursion, or, given ``rows``, on
+    those rows replayed in order."""
     n = d.a.shape[1]
     x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     x_curr = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
@@ -317,9 +332,52 @@ def _reference_solve_double(d, b, x0, x1, cfg):
     pr, ps = d.blocks(cfg)
     pb = p_pinv @ b
     x0_flag = _reference_in_nullspace(induced_single(d).v, x_prev, cfg)
-    return _reference_iterate(
-        lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
-    )
+    update = (lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb) if rows is None else _replay(rows)
+    return _reference_iterate(update, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg)
+
+
+def _replay(rows):
+    it = iter(rows)
+    return lambda xs: next(it)
+
+
+def _replayed(solve, *args, **kwargs):
+    """``(trace, rows)``: ``solve(*args, **kwargs)``'s trace and every row
+    its loop computed, in order, those past the stop included.
+
+    ``solvers._iterate`` is wrapped so that each block its ``advance``
+    returns is recorded.  The rows are taken from the solver rather than
+    recomputed: a gemm can round a row differently with the number of rows
+    it is given, so the lift of one row alone need not repeat the bits of
+    the same row lifted in a block."""
+    rows = []
+    real = solvers._iterate
+
+    def recording(advance, *rest):
+        def recorded(k):
+            block = advance(k)
+            rows.extend(block.copy())
+            return block
+
+        return real(recorded, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_iterate", recording)
+        trace = solve(*args, **kwargs)
+    return trace, rows
+
+
+def _scripted(update, n=1):
+    """``advance`` for ``_iterate`` from ``update(row)``, which writes one
+    row of length n in place."""
+
+    def advance(k):
+        rows = np.empty((k, n))
+        for row in rows:
+            update(row)
+        return rows
+
+    return advance
 
 
 def _trace_bits(t):
@@ -345,9 +403,10 @@ _LOOP_CONFIGS = {
 
 
 class TestLoopMatchesReference:
-    """Differential: every trace field is bit-identical to the reference loop's,
-    for convergent and divergent radii, m < n and m > n, max_iter exhaustion,
-    solve_tol = 0, and zero or random starting vectors."""
+    """Differential: every trace field is bit-identical to the reference loop's
+    on the rows the solver computed, for convergent and divergent radii,
+    m < n and m > n, max_iter exhaustion, solve_tol = 0, and zero or random
+    starting vectors."""
 
     @pytest.mark.parametrize("rho", [0.5, 0.95, 0.99, 1.05, 3.0])
     @pytest.mark.parametrize("shape", [(6, 5, 3), (5, 6, 2), (12, 10, 6)])
@@ -361,11 +420,11 @@ class TestLoopMatchesReference:
         outcomes = set()
         for cfg in _LOOP_CONFIGS.values():
             for start0, start1 in ((None, None), (x0, x1)):
-                got = solve_double(d, b, x0=start0, x1=start1, cfg=cfg)
-                want = _reference_solve_double(d, b, start0, start1, cfg)
+                got, rows = _replayed(solve_double, d, b, x0=start0, x1=start1, cfg=cfg)
+                want = _reference_solve_double(d, b, start0, start1, cfg, rows)
                 assert _trace_bits(got) == _trace_bits(want)
-                got = solve_single(s, b, x0=start0, cfg=cfg)
-                want = _reference_solve_single(s, b, start0, cfg)
+                got, rows = _replayed(solve_single, s, b, x0=start0, cfg=cfg)
+                want = _reference_solve_single(s, b, start0, cfg, rows)
                 assert _trace_bits(got) == _trace_bits(want)
                 outcomes.add((got.converged, got.diverged, got.iterations_used == cfg.max_iter))
         # each case reaches at least two different stops across the configs
@@ -398,43 +457,51 @@ class TestLoopMatchesReference:
         x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
         for cfg in (_LOOP_CONFIGS["default"], _LOOP_CONFIGS["solve_tol=1e-6"]):
             for start0, start1 in ((None, None), (x0, x1)):
-                got = solve_double(d, b, x0=start0, x1=start1, cfg=cfg)
-                want = _reference_solve_double(d, b, start0, start1, cfg)
+                got, rows = _replayed(solve_double, d, b, x0=start0, x1=start1, cfg=cfg)
+                want = _reference_solve_double(d, b, start0, start1, cfg, rows)
                 assert _trace_bits(got) == _trace_bits(want)
-                got = solve_single(s, b, x0=start0, cfg=cfg)
-                want = _reference_solve_single(s, b, start0, cfg)
+                got, rows = _replayed(solve_single, s, b, x0=start0, cfg=cfg)
+                want = _reference_solve_single(s, b, start0, cfg, rows)
                 assert _trace_bits(got) == _trace_bits(want)
 
 
 def _matches_reference(split, b, starts, cfg):
     """The trace of ``solve_double`` (or ``solve_single``, taking ``starts[0]``),
-    after checking it bit for bit against the reference loop and checking that
-    it holds exactly ``iterations_used`` iterates after its start."""
+    after checking it bit for bit against the reference loop on the rows the
+    solver computed and checking that it holds exactly ``iterations_used``
+    iterates after its start."""
     if isinstance(split, ProperDoubleSplitting):
-        got = solve_double(split, b, *starts, cfg=cfg)
-        want = _reference_solve_double(split, b, *starts, cfg)
+        got, rows = _replayed(solve_double, split, b, *starts, cfg=cfg)
+        want = _reference_solve_double(split, b, *starts, cfg, rows)
         n_start = 2
     else:
-        got = solve_single(split, b, starts[0], cfg=cfg)
-        want = _reference_solve_single(split, b, starts[0], cfg)
+        got, rows = _replayed(solve_single, split, b, starts[0], cfg=cfg)
+        want = _reference_solve_single(split, b, starts[0], cfg, rows)
         n_start = 1
     assert _trace_bits(got) == _trace_bits(want)
     assert len(got.iterates) == got.iterations_used + n_start
     return got
 
 
+def _single(d):
+    """The single splitting U = P, V = P - A of d, as its own object: d is
+    its induced single splitting, which the helpers would solve as double."""
+    return make_proper_splitting(d.a, d.p)
+
+
 def _slow_pair(seed, rho):
-    """A weak regular 6x5 rank 3 double splitting, its induced single
-    splitting, a right-hand side and a random pair of starts."""
+    """A weak regular 6x5 rank 3 double splitting, its single splitting
+    U = P, V = P - A, a right-hand side and a random pair of starts."""
     rng = default_rng(seed)
     d = weak_regular_double(rng, 6, 5, 3, rho=rho, nullspace_mix=0.3)
-    return d, induced_single(d), rng.uniform(0.5, 1.5, 6), tuple(rng.standard_normal((2, 5)))
+    return d, _single(d), rng.uniform(0.5, 1.5, 6), tuple(rng.standard_normal((2, 5)))
 
 
 class TestChunkBoundaries:
     """Differential, at the edges of the solver loop's blocks, which end after
-    rows 8, 16, 32 and 64 and then every ``_CHUNK`` rows: every trace field is bit-identical to the reference loop's, and a
-    trace holds ``iterations_used`` iterates after its start, for a stop at
+    rows 8, 16, 32 and 64 and then every ``_CHUNK`` rows: every trace field is
+    bit-identical to the reference loop's on the rows the solver computed, and
+    a trace holds ``iterations_used`` iterates after its start, for a stop at
     ``max_iter``, on divergence and on convergence."""
 
     @pytest.mark.parametrize(
@@ -518,7 +585,7 @@ class TestChunkBoundaries:
         cfg = ToleranceConfig(max_iter=len(values))
         it = iter(values)
         got = _iterate(
-            lambda row, *_: row.fill(next(it)), start, np.zeros(1), need_small, False, cfg
+            _scripted(lambda row: row.fill(next(it))), start, np.zeros(1), need_small, False, cfg
         )
         it_ref = iter(values)
         want = _reference_iterate(
@@ -552,8 +619,150 @@ class TestChunkBoundaries:
                 row.fill(math.inf if len(calls) == k else (-1.0) ** len(calls))
 
             cfg = ToleranceConfig(solve_tol=0.0)
-            trace = _iterate(update, [np.zeros(1)], np.zeros(1), 1, False, cfg)
+            trace = _iterate(_scripted(update), [np.zeros(1)], np.zeros(1), 1, False, cfg)
             assert trace.diverged and trace.iterations_used == k
             assert len(trace.iterates) == k + 1
             assert len(calls) <= max(_FIRST_CHUNK, 2 * k - 2)
             assert len(calls) <= -(-k // _CHUNK) * _CHUNK
+
+
+def _follows_recursion(split, b, starts, cfg):
+    """The trace of ``solve_double`` (or ``solve_single``, taking ``starts[0]``),
+    after checking that every row it computed is, to rounding, the full
+    recursion applied to the recorded rows before it, and that it stops as
+    the full-coordinate reference loop does."""
+    if isinstance(split, ProperDoubleSplitting):
+        got, rows = _replayed(solve_double, split, b, *starts, cfg=cfg)
+        want = _reference_solve_double(split, b, *starts, cfg)
+        blocks = split.blocks(cfg)
+        signs = (1.0, -1.0)
+    else:
+        got, rows = _replayed(solve_single, split, b, starts[0], cfg=cfg)
+        want = _reference_solve_single(split, b, starts[0], cfg)
+        blocks = (split.block(cfg),)
+        signs = (1.0,)
+    c = split.pinvs(cfg)[1] @ b
+    scales = [np.linalg.norm(block, 2) for block in blocks]
+    h = len(blocks)
+    xs = got.iterates[:h] + rows
+    for k in range(h, len(xs)):
+        before = xs[k - h : k][::-1]  # x_{k-1}, ..., x_{k-h}
+        full = c + sum(sign * (block @ x) for sign, block, x in zip(signs, blocks, before))
+        scale = sum(a * np.linalg.norm(x) for a, x in zip(scales, before)) + np.linalg.norm(c)
+        assert np.linalg.norm(xs[k] - full) <= 1e-13 * scale
+    assert (got.converged, got.diverged) == (want.converged, want.diverged)
+    if cfg.solve_tol == 0.0 and got.residual_history[-1] == want.residual_history[-1] == 0.0:
+        # both stopped on steps of exactly 0, a floor that rounding alone
+        # decides when to reach: the rows differ there, the limits do not
+        assert np.linalg.norm(got.limit - want.limit) <= 1e-13 * (1.0 + np.linalg.norm(want.limit))
+    else:
+        assert abs(got.iterations_used - want.iterations_used) <= 1
+    return got
+
+
+class TestRestrictedArithmetic:
+    """Differential: the solvers step in range(P^+) coordinates; every row they
+    compute must be the full-coordinate recursion on the rows before it, to
+    rounding, and the run must stop as the full-coordinate loop does, with
+    ``iterations_used`` off by at most one where a step lies within rounding
+    of ``solve_tol``."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.95, 0.99, 1.05, 3.0])
+    @pytest.mark.parametrize("shape", [(6, 5, 3), (5, 6, 2), (12, 10, 6)])
+    def test_rows_follow_the_full_recursion(self, shape, rho):
+        m, n, rank = shape
+        rng = default_rng(int(1000 * rho) + 7 * m + n)
+        d = weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3)
+        b = rng.uniform(0.5, 1.5, m)
+        starts = tuple(rng.standard_normal((2, n)))
+        for cfg in _LOOP_CONFIGS.values():
+            for x in ((None, None), starts):
+                for split in (d, _single(d)):
+                    _follows_recursion(split, b, x, cfg)
+
+    def test_rows_follow_the_full_recursion_at_50x40(self):
+        rng = default_rng(48)
+        d = weak_regular_double(rng, 50, 40, 20, rho=0.95, nullspace_mix=0.3)
+        b = rng.uniform(0.5, 1.5, 50)
+        starts = tuple(rng.standard_normal((2, 40)))
+        for cfg in _LOOP_CONFIGS.values():
+            for x in ((None, None), starts):
+                for split in (d, _single(d)):
+                    _follows_recursion(split, b, x, cfg)
+
+
+class TestRestrictedEdges:
+    """The paths of the restricted-coordinate step that a generic rank r with
+    0 < r < n and random starts do not take."""
+
+    def test_rank_zero(self):
+        # A = P = 0, R = S: P^+ = 0, so x_k = 0 exactly from the first
+        # computed iterate on, and the run stops on two (double) or one
+        # (single) zero steps at the limit A^+ b = 0
+        rng = default_rng(49)
+        zero = np.zeros((6, 5))
+        r = rng.standard_normal((6, 5))
+        d = make_pds(zero, zero, r, r)
+        assert d.rowspace().shape == (5, 0)
+        starts = tuple(rng.standard_normal((2, 5)))
+        for split, used in ((d, 3), (_single(d), 2)):
+            trace = _matches_reference(split, np.ones(6), starts, ToleranceConfig())
+            assert trace.converged and trace.iterations_used == used
+            h = len(trace.iterates) - used
+            assert all(not x.any() for x in trace.iterates[h:])
+
+    def test_full_rank_steps_in_x(self):
+        # r = n: the step matrix holds the blocks themselves, no V_r^T B_j is
+        # kept, and the rows are the full recursion to rounding
+        rng = default_rng(50)
+        d = weak_regular_double(rng, 10, 8, 8, rho=0.95, nullspace_mix=0.3)
+        assert d.rowspace().shape == (8, 8)
+        pr, ps = d.blocks()
+        mats = _step_matrices(d, "full-rank test", lambda: (pr, -ps), ToleranceConfig())
+        assert len(mats) == 1
+        assert mats[0].tobytes() == np.hstack([-ps, np.zeros((8, 1)), pr, np.zeros((8, 1))]).tobytes()
+        b = rng.uniform(0.5, 1.5, 10)
+        starts = tuple(rng.standard_normal((2, 8)))
+        for cfg in (ToleranceConfig(), ToleranceConfig(solve_tol=0.0, max_iter=300)):
+            for x in ((None, None), starts):
+                for split in (d, _single(d)):
+                    _follows_recursion(split, b, x, cfg)
+
+    def test_starts_with_null_space_components(self):
+        # starts far outside range(P^+): the first steps read them through
+        # V_r^T B_j, and every computed iterate is then P^+ b plus a vector
+        # of range(P^+)
+        rng = default_rng(52)
+        d = weak_regular_double(rng, 12, 10, 6, rho=0.9, nullspace_mix=0.3)
+        basis = d.rowspace()
+        null = np.linalg.svd(d.p)[2][6:]
+        b = rng.uniform(0.5, 1.5, 12)
+        c = d.pinvs()[1] @ b
+        starts = tuple(rng.standard_normal(10) + 1e3 * rng.standard_normal(4) @ null for _ in "01")
+        for split in (d, _single(d)):
+            trace = _follows_recursion(split, b, starts, ToleranceConfig())
+            assert trace.converged
+            h = len(trace.iterates) - trace.iterations_used
+            for x in trace.iterates[h:]:
+                off = (x - c) - basis @ (basis.T @ (x - c))
+                assert np.linalg.norm(off) <= 1e-13 * (1.0 + np.linalg.norm(x))
+
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_overflow_inside_the_first_steps(self, at):
+        # at 1, a huge x_1 makes x_2 huge; at 2, x_1 = 1e15 v with P^+R v = 0
+        # leaves x_2 small, and x_3 = P^+R x_2 - P^+S x_1 + P^+ b is huge:
+        # the guard fires inside the first two steps, which read the starts
+        rng = default_rng(53)
+        d = weak_regular_double(rng, 12, 10, 6, rho=0.9)
+        pr, ps = d.blocks()
+        v = np.linalg.svd(pr)[2][-1]
+        assert np.linalg.norm(pr @ v) <= 1e-14 and np.linalg.norm(ps @ v) >= 1e-2
+        x1 = 1e15 * (v if at == 2 else rng.standard_normal(10))
+        cfg = ToleranceConfig()
+        trace = _matches_reference(d, np.ones(12), (np.zeros(10), x1), cfg)
+        assert trace.diverged and trace.iterations_used == at
+        want = _reference_solve_double(d, np.ones(12), np.zeros(10), x1, cfg)
+        assert want.diverged and want.iterations_used == at
+        if at == 1:
+            trace = _matches_reference(_single(d), np.ones(12), (x1, None), cfg)
+            assert trace.diverged and trace.iterations_used == 1
