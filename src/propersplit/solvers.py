@@ -180,18 +180,15 @@ def _step_matrices(s: ProperSplitting, name: str, blocks, cfg: ToleranceConfig):
     ``s.rowspace(cfg)`` (n x r), kept in the splitting's memo under ``name``.
 
     ``M0 = [G_h, 0, ..., G_1, 0]`` (r x h(r+1)), with ``G_j = V_r^T B_j V_r``,
-    is the step matrix of :func:`_advance` before its last column is filled.
-    At r = n the coordinates are x itself: ``G_j = B_j`` and no ``V_r^T B_j``
-    is kept."""
+    is the step matrix of :func:`_advance` before its last column is filled."""
 
     def make():
-        basis, bs = s.rowspace(cfg), blocks()
-        n, r = basis.shape
-        reads = () if r == n else tuple(basis.T @ b for b in bs)
-        coords = bs if r == n else [read @ basis for read in reads]
-        m0 = np.zeros((r, len(bs) * (r + 1)))
-        for j, g in enumerate(reversed(coords)):
-            m0[:, j * (r + 1) : j * (r + 1) + r] = g
+        basis = s.rowspace(cfg)
+        r = basis.shape[1]
+        reads = tuple(basis.T @ b for b in blocks())
+        m0 = np.zeros((r, len(reads) * (r + 1)))
+        for j, read in enumerate(reversed(reads)):
+            m0[:, j * (r + 1) : j * (r + 1) + r] = read @ basis
         return (m0, *reads)
 
     return s._owned(name, cfg, make)
@@ -201,30 +198,23 @@ def _advance(mats, basis: np.ndarray, c: np.ndarray, start):
     """``advance(k)`` for :func:`_iterate`, for ``mats`` from
     :func:`_step_matrices` and the recursion's constant term c.
 
-    For r < n every computed iterate is ``x = V_r z + c`` with z in R^r, since
-    every block maps into ``range(V_r)``.  The z rows sit in one buffer as
+    Every computed iterate is ``x = V_r z + c`` with z in R^r, since every
+    block maps into ``range(V_r)``.  The z rows sit in one buffer as
     ``[z, 1]``, so the last h rows are one contiguous window and a step is
     one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``, with
     ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``.  The first h steps read
     the starts, which may lie outside ``range(V_r)``, through the r x n
     ``V_r^T B_j``.  Each block of z rows is lifted to x once, by one gemm and
-    one add.  With B = 0 every iterate is c bit for bit.
-
-    At r = n the rows are ``[x, 1]``, ``M = [B_h, 0, ..., B_1, c]``, and the
-    starts are rows like any other: no step reads them apart and no lift
-    runs."""
+    one add.  With B = 0 every iterate is c bit for bit."""
     m0, *reads = mats
-    restricted = bool(reads)  # r < n
     r, h = m0.shape[0], len(start)
     width = r + 1
     m = m0.copy()
-    m[:, -1] = sum(vb @ c for vb in reads) if restricted else c
+    m[:, -1] = sum(vb @ c for vb in reads)
     step = m.dot  # the bound method skips np.dot's dispatch, about 0.5 us a step
     head = np.ones((h, width))  # the last h rows of the previous block
-    if not restricted:
-        head[:, :r] = start
     xs = list(start)  # the full-coordinate inputs of the first h steps
-    first = h if restricted else 0
+    first = h
 
     def advance(k):
         nonlocal head, first
@@ -245,8 +235,6 @@ def _advance(mats, basis: np.ndarray, c: np.ndarray, start):
         for window, row in zip(windows, rows[h + lead :, :r]):
             step(window, out=row)
         head = rows[-h:]
-        if not restricted:
-            return rows[h:, :r].copy()
         x = rows[h:, :r] @ basis.T
         x += c
         return x

@@ -28,7 +28,6 @@ from propersplit.solvers import (
     OVERFLOW_GUARD,
     IterationTrace,
     _iterate,
-    _step_matrices,
 )
 
 
@@ -711,16 +710,12 @@ class TestRestrictedEdges:
             h = len(trace.iterates) - used
             assert all(not x.any() for x in trace.iterates[h:])
 
-    def test_full_rank_steps_in_x(self):
-        # r = n: the step matrix holds the blocks themselves, no V_r^T B_j is
-        # kept, and the rows are the full recursion to rounding
+    def test_full_rank_rows_follow_the_recursion(self):
+        # r = n: V_r is a square orthonormal basis, and the rows are the full
+        # recursion to rounding
         rng = default_rng(50)
         d = weak_regular_double(rng, 10, 8, 8, rho=0.95, nullspace_mix=0.3)
         assert d.rowspace().shape == (8, 8)
-        pr, ps = d.blocks()
-        mats = _step_matrices(d, "full-rank test", lambda: (pr, -ps), ToleranceConfig())
-        assert len(mats) == 1
-        assert mats[0].tobytes() == np.hstack([-ps, np.zeros((8, 1)), pr, np.zeros((8, 1))]).tobytes()
         b = rng.uniform(0.5, 1.5, 10)
         starts = tuple(rng.standard_normal((2, 8)))
         for cfg in (ToleranceConfig(), ToleranceConfig(solve_tol=0.0, max_iter=300)):
