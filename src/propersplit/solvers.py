@@ -90,6 +90,15 @@ _FIRST_CHUNK = 8
 _CHUNK = 64
 
 
+def _push_ratio(ratios: list[float], prev_step: float, step: float) -> None:
+    """The tail guard's rate window: after a step that follows a positive,
+    finite one, append their ratio, capped at 0.9999, and keep the last
+    three ratios."""
+    if 0.0 < prev_step < math.inf:
+        ratios.append(min(step / prev_step, 0.9999))
+        del ratios[:-3]
+
+
 def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
     """Run ``advance(k)``, which returns the next k iterates as a fresh
     ``(k, n)`` array, from the starting vector(s) ``start``.
@@ -98,7 +107,7 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
     ``advance`` for a block.  It then takes every step norm
     ``|x_next - x_curr|`` and every iterate norm ``|x_next|`` of the block at
     once, each the ``sqrt`` of a per-row dot product, as ``np.linalg.norm``
-    computes it, and applies the stop rules row by row.  A run stops:
+    computes it.  A run stops:
 
     * diverged, on an iterate whose norm is not <= ``OVERFLOW_GUARD``, which
       includes an iterate with NaN or Inf entries (the loop's arithmetic,
@@ -107,9 +116,21 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
     * at ``cfg.max_iter``;
     * or once ``need_small`` consecutive steps are <= ``cfg.solve_tol`` and the
       geometric tail ``step * r / (1 - r)`` is itself below the tolerance.
-      The rate ``r`` is the largest of the last three step ratios, each capped
-      at 0.9999: near the limit the remaining error is about that tail, which
-      stopping on the raw step alone would leave unpaid when r is close to 1.
+      The rate ``r`` is the largest of the last three step ratios (see
+      :func:`_push_ratio`): near the limit the remaining error is about that
+      tail, which stopping on the raw step alone would leave unpaid when r is
+      close to 1.
+
+    A block in which every step is > ``cfg.solve_tol`` and every iterate norm
+    is <= ``OVERFLOW_GUARD`` has no row that can stop the run, and nearly
+    every block is such a block.  It is booked in bulk: its steps extend the
+    history, the small-step count is 0, and the rate window is rebuilt by
+    :func:`_push_ratio` from the last four steps, the step before the block
+    included.  That is the window a row-by-row pass leaves: a step > tol is
+    positive, only a run's first step can be Inf (after a start too large to
+    square), and a block of fewer than four rows is a run's last.  Any other
+    block runs the rules row by row, so the stop is the one a row-by-row loop
+    makes.
 
     Rows computed after the stopping row are discarded: the trace holds
     ``iterations_used`` iterates after the start.
@@ -130,26 +151,34 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
             np.subtract(rows[0], iterates[-1], out=diff[0])
             np.subtract(rows[1:], rows[:-1], out=diff[1:])
             # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
-            steps = np.sqrt(np.vecdot(diff, diff)).tolist()
-            norms = np.sqrt(np.vecdot(rows, rows)).tolist()
-            for used, (step, norm_next) in enumerate(zip(steps, norms), 1):
-                residuals.append(step)
-                if not norm_next <= OVERFLOW_GUARD:
-                    diverged = True
-                    break
-                if 0.0 < prev_step < math.inf:
-                    ratios.append(min(step / prev_step, 0.9999))
-                    del ratios[:-3]
-                prev_step = step
-                if step > tol:
-                    small = 0
-                else:
-                    small += 1
-                    rate = max(ratios, default=0.0)
-                    tail = step * rate / (1.0 - rate)
-                    if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
-                        step_ok = True
+            steps = np.sqrt(np.vecdot(diff, diff))
+            norms = np.sqrt(np.vecdot(rows, rows))
+            if ((steps > tol) & (norms <= OVERFLOW_GUARD)).all():
+                steps = steps.tolist()
+                residuals.extend(steps)
+                recent = ([prev_step] + steps)[-4:]
+                for before, step in zip(recent, recent[1:]):
+                    _push_ratio(ratios, before, step)
+                prev_step = steps[-1]
+                small = 0
+                used = size
+            else:
+                for used, (step, norm_next) in enumerate(zip(steps.tolist(), norms.tolist()), 1):
+                    residuals.append(step)
+                    if not norm_next <= OVERFLOW_GUARD:
+                        diverged = True
                         break
+                    _push_ratio(ratios, prev_step, step)
+                    prev_step = step
+                    if step > tol:
+                        small = 0
+                    else:
+                        small += 1
+                        rate = max(ratios, default=0.0)
+                        tail = step * rate / (1.0 - rate)
+                        if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
+                            step_ok = True
+                            break
             # a copy, so that the rows computed past a stop are freed
             iterates.extend(rows if used == len(rows) else rows[:used].copy())
             left -= used
@@ -199,43 +228,46 @@ def _advance(mats, basis: np.ndarray, c: np.ndarray, start):
     :func:`_step_matrices` and the recursion's constant term c.
 
     Every computed iterate is ``x = V_r z + c`` with z in R^r, since every
-    block maps into ``range(V_r)``.  The z rows sit in one buffer as
+    block maps into ``range(V_r)``.  The z rows sit in one buffer per solve as
     ``[z, 1]``, so the last h rows are one contiguous window and a step is
     one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``, with
-    ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``.  The first h steps read
-    the starts, which may lie outside ``range(V_r)``, through the r x n
-    ``V_r^T B_j``.  Each block of z rows is lifted to x once, by one gemm and
-    one add.  With B = 0 every iterate is c bit for bit."""
+    ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``.  A block's rows follow the
+    previous block's last h rows, which it first copies to the top of the
+    buffer; the ``(window, row)`` views of a block row are made once, when a
+    block first reaches that row.  The first h steps read the starts, which
+    may lie outside ``range(V_r)``, through the r x n ``V_r^T B_j``.  Each
+    block of z rows is lifted to x once, by one gemm and one add, into a
+    fresh array.  With B = 0 every iterate is c bit for bit."""
     m0, *reads = mats
     r, h = m0.shape[0], len(start)
-    width = r + 1
     m = m0.copy()
     m[:, -1] = sum(vb @ c for vb in reads)
     step = m.dot  # the bound method skips np.dot's dispatch, about 0.5 us a step
-    head = np.ones((h, width))  # the last h rows of the previous block
+    buf = np.ones((h + _CHUNK, r + 1))
+    rows = buf[h:, :r]  # block row i is buf[h + i]
+    # block row i's window is the h rows before it, [z_{i-h}, 1, ..., z_{i-1}, 1]
+    windows = np.ndarray((_CHUNK, h * (r + 1)), buffer=buf, strides=(buf.strides[0], buf.itemsize))
+    pairs = []  # (window, row) of block rows 0, 1, ...
     xs = list(start)  # the full-coordinate inputs of the first h steps
     first = h
+    last = 0  # the previous block's row count
 
     def advance(k):
-        nonlocal head, first
-        rows = np.empty((h + k, width))
-        rows[:h] = head
-        rows[h:, r] = 1.0
+        nonlocal first, last
+        buf[:h] = buf[last : last + h]
         lead = min(first, k)
         first -= lead
-        for row in rows[h : h + lead, :r]:
+        for row in rows[:lead]:
             row[:] = sum(vb @ x for vb, x in zip(reads, reversed(xs)))
             xs.append(basis @ row + c)
             del xs[0]
-        # row i's window is the h rows before it, [z_{i-h}, 1, ..., z_{i-1}, 1]
-        stride = rows.strides[0]
-        windows = np.ndarray(
-            (k - lead, h * width), buffer=rows, offset=lead * stride, strides=(stride, rows.itemsize)
-        )
-        for window, row in zip(windows, rows[h + lead :, :r]):
+        made = len(pairs)
+        if made < k:
+            pairs.extend(zip(windows[made:k], rows[made:k]))
+        for window, row in pairs[lead:k]:
             step(window, out=row)
-        head = rows[-h:]
-        x = rows[h:, :r] @ basis.T
+        last = k
+        x = rows[:k] @ basis.T
         x += c
         return x
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from propersplit import (
@@ -623,6 +625,151 @@ class TestChunkBoundaries:
             assert len(trace.iterates) == k + 1
             assert len(calls) <= max(_FIRST_CHUNK, 2 * k - 2)
             assert len(calls) <= -(-k // _CHUNK) * _CHUNK
+
+
+def _scripted_traces(values, start, need_small, cfg):
+    """``(got, want)``: the traces of ``_iterate`` and of the reference loop
+    on the scripted 1-D iterates ``values``, from ``need_small`` copies of
+    the start value ``start``.  The reference runs with overflow and
+    invalid-operation warnings off, as ``_iterate`` does: the step from a
+    start near 1e300 squares to Inf."""
+    x0 = [np.array([start])] * need_small
+    it = iter(values)
+    got = _iterate(
+        _scripted(lambda row: row.fill(next(it))), x0, np.zeros(1), need_small, False, cfg
+    )
+    it_ref = iter(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_iterate(
+            lambda xs: np.array([next(it_ref)]), x0, np.zeros(1), need_small, False, cfg
+        )
+    return got, want
+
+
+def _walk(steps, x=0.5):
+    """1-D iterates from x that move by each of ``steps`` in turn, with
+    alternating sign."""
+    values = []
+    for i, step in enumerate(steps):
+        x += step if i % 2 else -step
+        values.append(x)
+    return values
+
+
+_TOL = ToleranceConfig().solve_tol
+
+
+@st.composite
+def _scripted_runs(draw):
+    """``(values, start, need_small, max_iter)``: up to 200 scripted 1-D
+    iterates made of geometric runs of steps spread around solve_tol (exact
+    zeros included, and steps below the rounding of x near 0.5, which round
+    to zero), with an optional Inf, NaN or 2e12 row, from 0.5 or from a start
+    near 1e300 that makes the first step Inf."""
+    segments = st.tuples(
+        st.integers(1, 70),
+        st.sampled_from((None, -8.0, -4.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0)),
+        st.sampled_from((0.5, 0.9, 0.999, 1.0, 1.1)),
+    )
+    steps = []
+    for length, log_scale, ratio in draw(st.lists(segments, min_size=1, max_size=5)):
+        scale = 0.0 if log_scale is None else _TOL * 10.0**log_scale
+        steps += [scale * ratio**i for i in range(length)]
+    steps = steps[:200]
+    signs = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    values, x = [], 0.5
+    for step, up in zip(steps, signs):
+        x += step if up else -step
+        values.append(x)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(values) - 1))
+        values[at] = draw(st.sampled_from((math.inf, math.nan, 2e12)))
+    start = draw(st.sampled_from((0.5, 1e300)))
+    return values, start, draw(st.sampled_from((1, 2))), draw(st.integers(1, len(values)))
+
+
+class TestBulkBooking:
+    """Differential, on scripted 1-D iterates: blocks in which no row can stop
+    the run are booked in bulk, and every trace field stays bit-identical to
+    the reference loop's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=_scripted_runs())
+    def test_matches_the_reference_loop(self, run):
+        values, start, need_small, max_iter = run
+        got, want = _scripted_traces(values, start, need_small, ToleranceConfig(max_iter=max_iter))
+        assert _trace_bits(got) == _trace_bits(want)
+
+    @pytest.mark.parametrize("need_small", [1, 2])
+    def test_inf_first_step_before_full_blocks(self, need_small):
+        # the first step, from 1e300, is Inf; 39 large steps follow, through
+        # the blocks that end after rows 8, 16 and 32, then the steps halve
+        # until they round to zero
+        values = [0.5] + _walk([1e-3 * 0.95**i for i in range(39)])
+        values += _walk([1e-11 * 0.5**i for i in range(40)] + [0.0] * 30, values[-1])
+        got, want = _scripted_traces(values, 1e300, need_small, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.residual_history[0] == math.inf
+        assert not got.diverged and 40 < got.iterations_used < len(values)
+
+    def test_zero_step_ends_a_block(self):
+        # row 8, the last of the first block, repeats row 7: with need_small 2
+        # that zero step stops nothing, and the next block, rows 9 to 16, is
+        # booked in bulk after a zero prev_step; with need_small 1 it stops
+        values = _walk([1e-3 * 0.9**i for i in range(7)])
+        values += [values[-1]]
+        values += _walk([1e-3 * 0.8**i for i in range(24)], values[-1])
+        values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * 30, values[-1])
+        got, want = _scripted_traces(values, 0.5, 2, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.residual_history[_FIRST_CHUNK - 1] == 0.0
+        assert not got.diverged and 32 < got.iterations_used < len(values)
+        got, want = _scripted_traces(values, 0.5, 1, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.iterations_used == _FIRST_CHUNK
+
+    @pytest.mark.parametrize("need_small", [1, 2])
+    @pytest.mark.parametrize("at", [8, 16, 32, 64, 128])
+    def test_first_small_step_after_bulk_blocks(self, at, need_small):
+        # `at` large steps fill the blocks that end after row `at`, and the
+        # first small step is the first row of the next block
+        values = _walk([1e-3 * 0.99**i for i in range(at)])
+        values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * 30, values[-1])
+        got, want = _scripted_traces(values, 0.5, need_small, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        steps = got.residual_history
+        assert min(steps[:at]) > _TOL >= steps[at]
+        assert not got.diverged and at < got.iterations_used < len(values)
+
+
+def _block_of_each_row(rows):
+    """The index of the solver block that computes each of ``rows`` rows."""
+    ids, used = [], 0
+    while used < rows:
+        size = min(max(used, _FIRST_CHUNK), _CHUNK, rows - used)
+        ids += [len(set(ids))] * size
+        used += size
+    return ids
+
+
+class TestNoAliasing:
+    """The z buffer a solve reuses for all its blocks never backs a trace:
+    each block's iterates are a fresh array."""
+
+    @pytest.mark.parametrize("double", [True, False])
+    def test_traces_own_their_iterates(self, double):
+        d, s, b, starts = _slow_pair(8, 0.9)
+        split, solve = (d, solve_double) if double else (s, solve_single)
+        first = solve(split, b, *starts[: 2 if double else 1])
+        bits = _trace_bits(first)
+        solve(split, 2.0 * b + 1.0)
+        assert _trace_bits(first) == bits
+        h = len(first.iterates) - first.iterations_used
+        assert first.iterations_used > 2 * _CHUNK
+        groups = [-1 - i for i in range(h)] + _block_of_each_row(first.iterations_used)
+        for i, (x, gx) in enumerate(zip(first.iterates, groups)):
+            for y, gy in zip(first.iterates[i + 1 :], groups[i + 1 :]):
+                assert gx == gy or not np.shares_memory(x, y)
 
 
 def _follows_recursion(split, b, starts, cfg):
