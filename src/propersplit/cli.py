@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import sys
 
@@ -104,6 +105,7 @@ def _plain(x):
     return x
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propersplit",

@@ -65,6 +65,12 @@ class TestPinv:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["pinv", str(tmp_path / "absent.mat")]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.mat"
+        p.write_bytes(b"2 2\n1 \xff\n3 4\n")
+        assert main(["pinv", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: not valid UTF-8 at byte 6\n"
+
 
 class TestSpectrum:
     def test_nonneg_matrix(self, tmp_path, capsys):
@@ -522,3 +528,37 @@ def test_solve_echo_inputs_includes_vectors(kind, tmp_path, capsys):
     assert echoed["x0"] == [0.5, -1.0, 2.0]
     if kind == "double":
         assert echoed["x1"] == [1.0, 0.0, -0.25]
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_text("2 2\n1 2 3\n4 5 6\n")
+    out = tmp_path / "report.json"
+    ex2 = [str(DATA / f"ex2_{k}.mat") for k in ("a", "p1", "r1", "s1")]
+    compare = ["compare", "weak-vs-regular", *(str(DATA / f"ex2_{k}.mat") for k in _SEVEN)]
+    calls = [
+        compare + ["--format", "json", "--out", str(out)],
+        compare,
+        ["solve", "double", *ex2, str(DATA / "ex2_b.mat"), "--tol-solve", "0"],
+        ["pinv", str(bad)],
+        ["solve", "double", *ex2, str(DATA / "ex2_b.mat")],
+        compare + ["--format", "text"],
+        ["spectrum", str(DATA / "ex2_w1.mat"), "--format", "json"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    parser = cli.build_parser()
+    in_a_row = [run(argv) for argv in calls]
+    assert cli.build_parser() is parser
+    assert in_a_row == alone
+    assert [code for code, *_ in alone] == [0, 0, 0, 2, 0, 0, 0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propersplit import MatrixFormatError, format_matrix, parse_matrix
+from propersplit import MatrixFormatError, format_matrix, matrixfile, parse_matrix
 
 
 def oracle_parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
@@ -143,6 +143,82 @@ def test_faulty_texts_raise_the_same_error(text):
 )
 def test_earliest_fault_is_reported(text):
     assert _outcome(parse_matrix, text) == _outcome(oracle_parse_matrix, text)
+
+
+# characters str.split splits fields on; the C reader must split on the same
+FIELD_SPACE = (" ", "\t", "\x1f", "\xa0", "\u2003")
+LINE_ENDS = ("\n", "\r\n", "\r")
+# signed tokens, tokens only float() reads, then tokens neither reader takes
+ODD_TOKENS = ("+1", "+.5", "1_000", "١٢", "-٣.5", "1\x00", "\x002", "#3", "1#", "1e5_0")
+# put once into a row: whitespace that also ends a line, NUL, inline comments
+INSERTS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "#", " # note")
+
+
+@st.composite
+def odd_texts(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    separators = st.text(st.sampled_from(FIELD_SPACE), min_size=1, max_size=2)
+    lines = [f"{m} {n}"]
+    # hypothesis favours the ends of a range, so a middle value keeps odd
+    # tokens and inserts rare enough that most texts reach the C reader
+    for _ in range(m):
+        tokens = [
+            draw(st.sampled_from(ODD_TOKENS))
+            if draw(st.integers(0, 11)) == 7
+            else draw(st.sampled_from(STYLES)).format(draw(floats))
+            for _ in range(n)
+        ]
+        row = draw(st.sampled_from(["", " ", "\xa0"]))
+        for token in tokens:
+            row += token + draw(separators)
+        if draw(st.integers(0, 5)) == 3:
+            at = draw(st.integers(0, len(row)))
+            row = row[:at] + draw(st.sampled_from(INSERTS)) + row[at:]
+        lines.append(row)
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(LINE_ENDS))
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(odd_texts())
+def test_odd_whitespace_line_ends_and_tokens_match_the_oracle(text):
+    assert _outcome(parse_matrix, text) == _outcome(oracle_parse_matrix, text)
+
+
+@pytest.fixture
+def row_by_row_calls(monkeypatch):
+    """The calls ``parse_matrix`` makes to the per-row path."""
+    calls = []
+    per_row = matrixfile._parse_rows
+
+    def spy(*args):
+        calls.append(args)
+        return per_row(*args)
+
+    monkeypatch.setattr(matrixfile, "_parse_rows", spy)
+    return calls
+
+
+def test_c_reader_converts_a_written_matrix(row_by_row_calls):
+    a = np.random.default_rng(7).standard_normal((150, 120))
+    got = parse_matrix(format_matrix(a))
+    assert not row_by_row_calls
+    assert got.tobytes() == a.tobytes()
+
+
+def test_float_only_token_takes_the_per_row_path(row_by_row_calls):
+    text = format_matrix(np.random.default_rng(8).standard_normal((5, 4)))
+    lines = text.splitlines()
+    lines[3] = lines[3].replace(lines[3].split()[2], "1_000")
+    text = "\n".join(lines) + "\n"
+    got = _outcome(parse_matrix, text)
+    assert len(row_by_row_calls) == 1
+    assert got == _outcome(oracle_parse_matrix, text)
+    assert got[0] == "ok"
 
 
 EXTREMES = [
