@@ -7,10 +7,9 @@ conclusion ``rho(W1) <= rho(W2) < 1`` was predicted by the hypotheses and
 whether it was actually observed.  The checkers never throw on a false
 hypothesis: a report with failed verdicts is itself the product.
 
-``square_corollary=True`` reruns the same pipeline with the classical inverse
-in place of the pseudoinverse; it requires a square nonsingular A and
-additionally records when ``R1 >= R2`` together with the inverse ordering
-implies branch (i).
+``square_corollary=True`` adds the ``R1 >= R2`` check and requires a square
+nonsingular A, whose inverses the splittings already hold; it records when
+``R1 >= R2`` together with the inverse ordering implies branch (i).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     _restricted_radius,
-    has_zero_row,
     matrix_rank,
     max_abs_diff,
     nonneg_residual,
@@ -117,7 +115,10 @@ def compare(
     """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2).
 
     Each ``rho_i`` follows the one radius rule, ``core._restricted_radius``,
-    on ``range(P_i^+)``, or on the whole space in square-corollary mode.
+    on ``range(P_i^+)``.  Square-corollary mode checks that A is square and
+    nonsingular and adds the ``R1 >= R2`` check; it reads the same factors,
+    since for such an A, and a proper P_i, ``A^+`` and ``P_i^+`` are the
+    classical inverses.
     """
     if d1.a.shape != d2.a.shape or max_abs_diff(d1.a, d2.a) > cfg.eq_abs_tol:
         raise DifferentAError("both double splittings must decompose the same matrix A")
@@ -126,16 +127,11 @@ def compare(
     if square_corollary:
         _require_invertible(a, cfg)
         notes.append("square corollary mode: A is invertible, classical inverse used")
-        a_inv, p1_inv, p2_inv = (np.linalg.inv(x) for x in (a, d1.p, d2.p))
-        pr1, ps1, pr2, ps2 = p1_inv @ d1.r, p1_inv @ d1.s, p2_inv @ d2.r, p2_inv @ d2.s
-        basis1 = basis2 = np.eye(a.shape[1])  # the whole space: full companions
-    else:
-        a_inv, p1_inv = d1.pinvs(cfg)
-        p2_inv = d2.pinvs(cfg)[1]
-        (pr1, ps1), (pr2, ps2) = d1.blocks(cfg), d2.blocks(cfg)
-        basis1, basis2 = d1.rowspace(cfg), d2.rowspace(cfg)
-    regular1, weak1 = sign_residuals(p1_inv, d1.r, d1.s, pr1, ps1)
-    regular2, weak2 = sign_residuals(p2_inv, d2.r, d2.s, pr2, ps2)
+    a_inv, p1_inv = d1.pinvs(cfg)
+    p2_inv = d2.pinvs(cfg)[1]
+    (pr1, ps1), (pr2, ps2) = d1.blocks(cfg), d2.blocks(cfg)
+    regular1, weak1 = sign_residuals(d1, cfg)
+    regular2, weak2 = sign_residuals(d2, cfg)
 
     # the hypotheses the theorem requires; the branch conditions follow them
     required = [_nonneg_verdict("A^+ >= 0", a_inv, cfg)]
@@ -158,7 +154,9 @@ def compare(
             HypothesisVerdict("e in range(A)", e_in_range, e_residual),
             _verdict("splitting 1 weak regular", weak1, cfg),
             _verdict("splitting 2 regular", regular2, cfg),
-            HypothesisVerdict("P2^+ has no zero row", not has_zero_row(p2_inv, cfg), smallest_row_max),
+            HypothesisVerdict(
+                "P2^+ has no zero row", smallest_row_max > cfg.nonneg_slack, smallest_row_max
+            ),
             _nonneg_verdict("P2 P2^+ >= 0", d2.p @ p2_inv, cfg),
             p_order,
         ]
@@ -190,8 +188,8 @@ def compare(
     else:
         branch_used = Branch.NEITHER
 
-    rho1 = _restricted_radius(basis1, (pr1, ps1), cfg)
-    rho2 = _restricted_radius(basis2, (pr2, ps2), cfg)
+    rho1 = _restricted_radius(d1.rowspace(cfg), (pr1, ps1), cfg)
+    rho2 = _restricted_radius(d2.rowspace(cfg), (pr2, ps2), cfg)
 
     predicted = all(v.passed for v in required) and branch_used is not Branch.NEITHER
     observed = rho1 <= rho2 + cfg.spectral_tol and rho2 < 1.0 - cfg.spectral_tol

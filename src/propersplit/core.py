@@ -377,8 +377,7 @@ def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float
       ``range(Q) + range(Q)`` (companion) is invariant and the map is
       nilpotent on the quotient: the spectrum is that of the r x r
       ``Q^T B Q``, or of the 2r x 2r companion of the ``Q^T B_i Q``, plus
-      zeros.  For r = n, as in square-corollary mode (an identity basis), the
-      full matrix is eigensolved.
+      zeros.  For r = n the full matrix is eigensolved.
 
     r = 0 gives 0.0 without a bracket or an eigensolve.
     """

@@ -87,12 +87,14 @@ def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDou
     return d
 
 
-def sign_residuals(p_inv, r, s, pr, ps) -> tuple[float, float]:
+def sign_residuals(
+    d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> tuple[float, float]:
     """Worst entry violations of the regular (P^+, R, -S >= 0) and weak regular
-    (P^+, P^+ R, -P^+ S >= 0) sign tests; p_inv is P^+ or a nonsingular P's
-    inverse, and pr, ps are its products with R and S."""
-    lowest = nonneg_residual(p_inv)
-    regular = max(lowest, nonneg_residual(r), nonneg_residual(-s))
+    (P^+, P^+ R, -P^+ S >= 0) sign tests."""
+    pr, ps = d.blocks(cfg)
+    lowest = nonneg_residual(d.pinvs(cfg)[1])
+    regular = max(lowest, nonneg_residual(d.r), nonneg_residual(-d.s))
     weak = max(lowest, nonneg_residual(pr), nonneg_residual(-ps))
     return regular, weak
 
@@ -100,8 +102,8 @@ def sign_residuals(p_inv, r, s, pr, ps) -> tuple[float, float]:
 def classify_double(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> DoubleSplittingClass:
-    """Strongest applicable tag from :func:`sign_residuals` on P^+."""
-    regular, weak = sign_residuals(d.pinvs(cfg)[1], d.r, d.s, *d.blocks(cfg))
+    """Strongest applicable tag from :func:`sign_residuals`."""
+    regular, weak = sign_residuals(d, cfg)
     if regular <= cfg.nonneg_slack:
         return DoubleSplittingClass.REGULAR
     if weak <= cfg.nonneg_slack:

@@ -120,7 +120,10 @@ def _finite_rows(rows: list[np.ndarray], linenos: list[int], name: str) -> np.nd
 
 
 def read_matrix(path) -> np.ndarray:
-    """The matrix in the file at ``path``, which must be UTF-8 text."""
+    """The matrix in the file at ``path``, which must be UTF-8 text.
+
+    One leading byte-order mark is dropped after decoding, so a bad byte's
+    offset still counts from the start of the file."""
     name = os.fspath(path)
     with open(path, "rb") as fh:
         content = fh.read()
@@ -128,7 +131,7 @@ def read_matrix(path) -> np.ndarray:
         text = content.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{name}: not valid UTF-8 at byte {exc.start}") from exc
-    return parse_matrix(text, name=name)
+    return parse_matrix(text.removeprefix("\ufeff"), name=name)
 
 
 def read_vector(path) -> np.ndarray:

@@ -202,45 +202,28 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
     )
 
 
-def _step_matrices(s: ProperSplitting, name: str, blocks, cfg: ToleranceConfig):
-    """Read-only ``(M0, V_r^T B_1, ..., V_r^T B_h)`` for the recursion
+def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
+    """``advance(k)`` for :func:`_iterate`, for the recursion
     ``x_{k+1} = B_1 x_k + ... + B_h x_{k-h+1} + c``, whose blocks
-    ``(B_1, ..., B_h) = blocks()`` map into ``range(V_r)``, V_r being
-    ``s.rowspace(cfg)`` (n x r), kept in the splitting's memo under ``name``.
+    ``(B_1, ..., B_h)`` map into ``range(V_r)``, V_r being ``basis`` (n x r).
 
-    ``M0 = [G_h, 0, ..., G_1, 0]`` (r x h(r+1)), with ``G_j = V_r^T B_j V_r``,
-    is the step matrix of :func:`_advance` before its last column is filled."""
-
-    def make():
-        basis = s.rowspace(cfg)
-        r = basis.shape[1]
-        reads = tuple(basis.T @ b for b in blocks())
-        m0 = np.zeros((r, len(reads) * (r + 1)))
-        for j, read in enumerate(reversed(reads)):
-            m0[:, j * (r + 1) : j * (r + 1) + r] = read @ basis
-        return (m0, *reads)
-
-    return s._owned(name, cfg, make)
-
-
-def _advance(mats, basis: np.ndarray, c: np.ndarray, start):
-    """``advance(k)`` for :func:`_iterate`, for ``mats`` from
-    :func:`_step_matrices` and the recursion's constant term c.
-
-    Every computed iterate is ``x = V_r z + c`` with z in R^r, since every
-    block maps into ``range(V_r)``.  The z rows sit in one buffer per solve as
+    Every computed iterate is ``x = V_r z + c`` with z in R^r.  The step
+    matrices are built here, once per solve, and die with it: the r x n
+    ``V_r^T B_j`` and the r x h(r+1) ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``
+    with ``G_j = V_r^T B_j V_r``.  The z rows sit in one buffer per solve as
     ``[z, 1]``, so the last h rows are one contiguous window and a step is
-    one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``, with
-    ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``.  A block's rows follow the
-    previous block's last h rows, which it first copies to the top of the
-    buffer; the ``(window, row)`` views of a block row are made once, when a
-    block first reaches that row.  The first h steps read the starts, which
-    may lie outside ``range(V_r)``, through the r x n ``V_r^T B_j``.  Each
+    one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``.  A block's rows
+    follow the previous block's last h rows, which it first copies to the top
+    of the buffer; the ``(window, row)`` views of a block row are made once,
+    when a block first reaches that row.  The first h steps read the starts,
+    which may lie outside ``range(V_r)``, through the ``V_r^T B_j``.  Each
     block of z rows is lifted to x once, by one gemm and one add, into a
     fresh array.  With B = 0 every iterate is c bit for bit."""
-    m0, *reads = mats
-    r, h = m0.shape[0], len(start)
-    m = m0.copy()
+    reads = [basis.T @ b for b in blocks]
+    r, h = basis.shape[1], len(start)
+    m = np.zeros((r, h * (r + 1)))
+    for j, read in enumerate(reversed(reads)):
+        m[:, j * (r + 1) : j * (r + 1) + r] = read @ basis
     m[:, -1] = sum(vb @ c for vb in reads)
     step = m.dot  # the bound method skips np.dot's dispatch, about 0.5 us a step
     buf = np.ones((h + _CHUNK, r + 1))
@@ -282,8 +265,7 @@ def solve_single(
     b = as_vector(b, length=m)
     x = np.zeros(n) if x0 is None else as_vector(x0, length=n)
     a_pinv, u_pinv = s.pinvs(cfg)
-    mats = _step_matrices(s, "step U^+V", lambda: (s.block(cfg),), cfg)
-    advance = _advance(mats, s.rowspace(cfg), u_pinv @ b, [x])
+    advance = _advance([s.block(cfg)], s.rowspace(cfg), u_pinv @ b, [x])
     return _iterate(advance, [x], a_pinv @ b, 1, _in_nullspace(s.v, x, cfg), cfg)
 
 
@@ -306,7 +288,6 @@ def solve_double(
     x_curr = np.zeros(n) if x1 is None else as_vector(x1, length=n)
     a_pinv, p_pinv = d.pinvs(cfg)
     pr, ps = d.blocks(cfg)
-    mats = _step_matrices(d, "step P^+R, -P^+S", lambda: (pr, -ps), cfg)
     start = [x_prev, x_curr]
-    advance = _advance(mats, d.rowspace(cfg), p_pinv @ b, start)
+    advance = _advance([pr, -ps], d.rowspace(cfg), p_pinv @ b, start)
     return _iterate(advance, start, a_pinv @ b, 2, _in_nullspace(d.v, x_prev, cfg), cfg)

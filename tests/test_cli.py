@@ -71,6 +71,12 @@ class TestPinv:
         assert main(["pinv", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}: not valid UTF-8 at byte 6\n"
 
+    def test_byte_order_mark_exit_0(self, tmp_path, capsys):
+        p = tmp_path / "bom.mat"
+        p.write_bytes(b"\xef\xbb\xbf2 2\n1 0\n0 1\n")
+        assert main(["pinv", str(p)]) == 0
+        assert np.array_equal(parse_matrix(capsys.readouterr().out), np.eye(2))
+
 
 class TestSpectrum:
     def test_nonneg_matrix(self, tmp_path, capsys):
@@ -269,6 +275,21 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rho1"] == doc["rho2"] == 0.5
         assert doc["conclusion_predicted"] and doc["conclusion_observed"]
+
+    def test_square_corollary_example(self, capsys):
+        # A = 3I - J with P1 = 3I, R1 = J, S1 = 0 and P2 = 4I, R2 = I, S2 = -J
+        argv = ["compare", "regular-vs-weak"] + [
+            str(DATA / f"sq_{k}.mat") for k in ("a", "p1", "r1", "s1", "p2", "r2", "s2")
+        ] + ["--square-corollary", "--format", "json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["square_corollary"] is True
+        assert abs(doc["rho1"] - 2.0 / 3.0) <= 1e-15
+        assert {"label": "R1 >= R2", "passed": True, "residual": 0.0} in doc["hypotheses"]
+        assert doc["notes"] == [
+            "square corollary mode: A is invertible, classical inverse used",
+            "branch (i) implied: P1^+ >= P2^+ >= 0 and R1 >= R2 >= 0 force P1^+ R1 >= P2^+ R2",
+        ]
 
     def test_square_corollary_flag_on_rectangular_exit_4(self, ex1_files):
         argv = ["compare", "regular-vs-weak"] + [

@@ -146,6 +146,17 @@ class TestSquareCorollary:
         rep = compare_weak_vs_regular(*identity_pair(), square_corollary=True)
         assert rep.conclusion_predicted and rep.conclusion_observed
 
+    def test_no_classical_inverse_is_computed(self, cfg, monkeypatch):
+        rng = default_rng(60)
+        pairs = [(t, comparison_pair(rng, t, 6, 6, 6, cfg)) for t in TheoremId]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("square corollary mode computed an inverse")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for theorem, (d1, d2) in pairs:
+            assert compare(theorem, d1, d2, cfg, square_corollary=True).square_corollary
+
     def test_singular_rejected(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         d = make_pds(a, a, np.zeros((2, 2)), np.zeros((2, 2)))
@@ -228,12 +239,18 @@ class TestRestrictedRadii:
             assert rep.rho1 == spectral_radius(iteration_matrix(d1, cfg), cfg)
             assert rep.rho2 == spectral_radius(iteration_matrix(d2, cfg), cfg)
 
-    def test_square_corollary_radii_are_bit_identical(self, cfg):
+    def test_square_corollary_radii_equal_plain_mode(self, cfg):
+        # square mode reads the splittings' own factors, so its radii are
+        # plain mode's; the companions of the LU inverses' blocks stay the
+        # differential reference
         rng = default_rng(59)
-        for theorem in TheoremId:
-            d1, d2 = comparison_pair(rng, theorem, 4, 4, 4, cfg)
-            rep = compare(theorem, d1, d2, cfg, square_corollary=True)
-            for rho, d in ((rep.rho1, d1), (rep.rho2, d2)):
-                p_inv = np.linalg.inv(d.p)
-                w = companion_from_blocks(p_inv @ d.r, p_inv @ d.s)
-                assert rho == spectral_radius(w, cfg)
+        for n in (4, 40):
+            for theorem in TheoremId:
+                d1, d2 = comparison_pair(rng, theorem, n, n, n, cfg)
+                square = compare(theorem, d1, d2, cfg, square_corollary=True)
+                plain = compare(theorem, d1, d2, cfg)
+                assert (square.rho1, square.rho2) == (plain.rho1, plain.rho2)
+                for rho, d in ((square.rho1, d1), (square.rho2, d2)):
+                    p_inv = np.linalg.inv(d.p)
+                    lu = spectral_radius(companion_from_blocks(p_inv @ d.r, p_inv @ d.s), cfg)
+                    assert abs(rho - lu) <= 1e-12 * lu

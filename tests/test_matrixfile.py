@@ -60,6 +60,20 @@ def test_parse_errors(text):
         parse_matrix(text)
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.mat", tmp_path / "bom.mat"
+    plain.write_bytes(b"2 2\n1 0\n0 1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(read_matrix(marked), read_matrix(plain))
+
+
+def test_byte_order_mark_counts_in_bad_byte_offset(tmp_path):
+    p = tmp_path / "bom.mat"
+    p.write_bytes(b"\xef\xbb\xbf2 2\n1 \xff\n3 4\n")
+    with pytest.raises(MatrixFormatError, match="not valid UTF-8 at byte 9$"):
+        read_matrix(p)
+
+
 def test_read_vector_both_orientations(tmp_path):
     p = tmp_path / "v.mat"
     write_matrix(p, np.array([[1.0], [2.0], [3.0]]))

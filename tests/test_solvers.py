@@ -11,6 +11,7 @@ from numpy.random import default_rng
 from propersplit import (
     ShapeMismatchError,
     ToleranceConfig,
+    check_convergence,
     induced_single,
     iteration_matrix,
     make_pds,
@@ -770,6 +771,20 @@ class TestNoAliasing:
         for i, (x, gx) in enumerate(zip(first.iterates, groups)):
             for y, gy in zip(first.iterates[i + 1 :], groups[i + 1 :]):
                 assert gx == gy or not np.shares_memory(x, y)
+
+
+class TestMemo:
+    """A solve builds its step matrices for itself: the splitting's memo
+    keeps only the factors its consumers share."""
+
+    @pytest.mark.parametrize("solve", [solve_double, solve_single])
+    def test_a_solve_leaves_the_memo_as_it_found_it(self, solve):
+        d, _, b, _ = _slow_pair(8, 0.9)
+        check_convergence(d)  # d is also its induced single splitting
+        before = list(d._memo)
+        solve(d, b)
+        solve(d, 2.0 * b)
+        assert list(d._memo) == before
 
 
 def _follows_recursion(split, b, starts, cfg):
