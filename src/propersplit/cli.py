@@ -262,10 +262,11 @@ def cmd_solve(args, cfg):
         if args.kind == "single":
             raise MatrixFormatError("--x1 applies to the double scheme only")
         inputs["x1"] = read_vector(args.x1)
+    x0, x1 = inputs.get("x0"), inputs.get("x1")
     if args.kind == "single":
-        trace = solve_single(make_proper_splitting(*mats, cfg), b, x0=inputs.get("x0"), cfg=cfg)
+        trace = solve_single(make_proper_splitting(*mats, cfg), b, x0, cfg, keep_iterates=args.trace)
     else:
-        trace = solve_double(make_pds(*mats, cfg), b, x0=inputs.get("x0"), x1=inputs.get("x1"), cfg=cfg)
+        trace = solve_double(make_pds(*mats, cfg), b, x0, x1, cfg, keep_iterates=args.trace)
     doc = {
         "command": "solve",
         "kind": args.kind,

@@ -8,8 +8,10 @@ spectral radius of the corresponding iteration matrix is below one.
 Every block maps into ``range(P^+) = span(V_r)`` (``range(U^+)`` for the
 single scheme), so every computed iterate is ``V_r z + c`` with c the constant
 term and z in R^r.  Each step is one gemv on z, and each block of z rows is
-lifted to x once (see :func:`_advance`); the traces still hold every iterate
-in full coordinates, and their rows are the full recursion to rounding.
+lifted to x once (see :func:`_advance`).  A trace holds the iterates, in
+full coordinates, only when the solve is given ``keep_iterates=True``;
+otherwise each block is freed once its norms are taken, and the rows are the
+full recursion to rounding either way.
 
 A note on starting vectors: the classical treatment of the single-splitting
 scheme both requires the initial vector to avoid the null space of V and
@@ -38,15 +40,17 @@ OVERFLOW_GUARD = 1e12
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Complete record of one solver run.
+    """Record of one solver run.
 
-    ``iterates`` includes the starting vector(s) followed by every computed
-    iterate; ``residual_history`` holds one step norm per computed iterate, so
-    its length equals ``iterations_used``.  ``converged`` requires both the
+    ``iterates`` is None unless the solve was given ``keep_iterates=True``;
+    then it holds the starting vector(s) followed by every computed iterate.
+    ``residual_history`` holds one step norm per computed iterate, so its
+    length equals ``iterations_used``.  Every field but ``iterates`` is the
+    same bit for bit with or without it.  ``converged`` requires both the
     step criterion and closeness to the reference solution ``A^+ b``.
     """
 
-    iterates: list[np.ndarray]
+    iterates: list[np.ndarray] | None
     residual_history: list[float]
     converged: bool
     iterations_used: int
@@ -99,7 +103,7 @@ def _push_ratio(ratios: list[float], prev_step: float, step: float) -> None:
         del ratios[:-3]
 
 
-def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTrace:
+def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates) -> IterationTrace:
     """Run ``advance(k)``, which returns the next k iterates as a fresh
     ``(k, n)`` array, from the starting vector(s) ``start``.
 
@@ -132,11 +136,14 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
     block runs the rules row by row, so the stop is the one a row-by-row loop
     makes.
 
-    Rows computed after the stopping row are discarded: the trace holds
-    ``iterations_used`` iterates after the start.
+    Rows computed after the stopping row are discarded: with
+    ``keep_iterates`` the trace holds ``iterations_used`` iterates after the
+    start; without, only a copy of the last row outlives its block, as the
+    next block's first step and the limit need it.
     """
     tol = cfg.solve_tol
     iterates = [x.copy() for x in start]
+    last = iterates[-1]
     residuals: list[float] = []
     ratios: list[float] = []
     prev_step = math.inf
@@ -148,7 +155,7 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
             size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, left)
             rows = advance(size)
             diff = np.empty_like(rows)
-            np.subtract(rows[0], iterates[-1], out=diff[0])
+            np.subtract(rows[0], last, out=diff[0])
             np.subtract(rows[1:], rows[:-1], out=diff[1:])
             # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
             steps = np.sqrt(np.vecdot(diff, diff))
@@ -179,10 +186,14 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
                         if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
                             step_ok = True
                             break
-            # a copy, so that the rows computed past a stop are freed
-            iterates.extend(rows if used == len(rows) else rows[:used].copy())
+            if keep_iterates:
+                # a copy, so that the rows computed past a stop are freed
+                iterates.extend(rows if used == len(rows) else rows[:used].copy())
+                last = iterates[-1]
+            else:
+                last = rows[used - 1].copy()
             left -= used
-        limit = iterates[-1]
+        limit = last
         distance = float(np.linalg.norm(limit - reference))
         converged = bool(
             step_ok
@@ -190,7 +201,7 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg) -> IterationTr
             and distance <= 10.0 * tol * (1.0 + np.linalg.norm(reference))
         )
     return IterationTrace(
-        iterates=iterates,
+        iterates=iterates if keep_iterates else None,
         residual_history=residuals,
         converged=converged,
         iterations_used=len(residuals),
@@ -258,15 +269,21 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
 
 
 def solve_single(
-    s: ProperSplitting, b, x0=None, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+    s: ProperSplitting,
+    b,
+    x0=None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    keep_iterates: bool = False,
 ) -> IterationTrace:
-    """One-step stationary iteration for the single splitting A = U - V."""
+    """One-step stationary iteration for the single splitting A = U - V.
+    The trace holds every iterate only with ``keep_iterates``."""
     m, n = s.a.shape
     b = as_vector(b, length=m)
     x = np.zeros(n) if x0 is None else as_vector(x0, length=n)
     a_pinv, u_pinv = s.pinvs(cfg)
     advance = _advance([s.block(cfg)], s.rowspace(cfg), u_pinv @ b, [x])
-    return _iterate(advance, [x], a_pinv @ b, 1, _in_nullspace(s.v, x, cfg), cfg)
+    x0_flag = _in_nullspace(s.v, x, cfg)
+    return _iterate(advance, [x], a_pinv @ b, 1, x0_flag, cfg, keep_iterates)
 
 
 def solve_double(
@@ -275,12 +292,14 @@ def solve_double(
     x0=None,
     x1=None,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    keep_iterates: bool = False,
 ) -> IterationTrace:
     """Two-step stationary iteration for the double splitting A = P - R + S.
 
     The two-step recursion is stationary only when the stacked state
     (x_k, x_{k-1}) stops moving; a single small step can be a transient
-    coincidence, so a stop needs two small steps in a row.
+    coincidence, so a stop needs two small steps in a row.  The trace holds
+    every iterate only with ``keep_iterates``.
     """
     m, n = d.a.shape
     b = as_vector(b, length=m)
@@ -290,4 +309,5 @@ def solve_double(
     pr, ps = d.blocks(cfg)
     start = [x_prev, x_curr]
     advance = _advance([pr, -ps], d.rowspace(cfg), p_pinv @ b, start)
-    return _iterate(advance, start, a_pinv @ b, 2, _in_nullspace(d.v, x_prev, cfg), cfg)
+    x0_flag = _in_nullspace(d.v, x_prev, cfg)
+    return _iterate(advance, start, a_pinv @ b, 2, x0_flag, cfg, keep_iterates)

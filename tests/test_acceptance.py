@@ -233,7 +233,7 @@ def test_criterion_8_companion_equivalence():
         rank = int(rng.integers(1, min(m, n) + 1))
         d = weak_regular_double(rng, m, n, rank, rho=float(rng.uniform(0.1, 0.95)))
         b = d.a @ rng.standard_normal(n)
-        trace = solve_double(d, b, cfg=cfg)
+        trace = solve_double(d, b, cfg=cfg, keep_iterates=True)
         w = iteration_matrix(d)
         bvec = np.concatenate([pinv(d.p) @ b, np.zeros(n)])
         state = np.concatenate([trace.iterates[1], trace.iterates[0]])

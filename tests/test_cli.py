@@ -8,7 +8,7 @@ import shlex
 import numpy as np
 import pytest
 
-from propersplit import cli, splitting
+from propersplit import cli, make_pds, solve_double, splitting
 from propersplit.cli import main
 from propersplit.comparison import TheoremId
 from propersplit.generators import comparison_pair
@@ -211,6 +211,18 @@ class TestSolve:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["diverged"] is True and doc["converged"] is False
+
+    def test_trace_holds_the_kept_iterates(self, ex2_files, capsys):
+        names = ("a", "p1", "r1", "s1", "b")
+        paths = [ex2_files[k] for k in names]
+        assert main(["solve", "double", *paths, "--trace", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        a, p, r, s, b = (read_matrix(path) for path in paths)
+        want = solve_double(make_pds(a, p, r, s), b.ravel(), keep_iterates=True).iterates
+        got = np.array(doc["iterates"])
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert main(["solve", "double", *paths, "--format", "json"]) == 0
+        assert "iterates" not in json.loads(capsys.readouterr().out)
 
     def test_single_with_trace(self, tmp_path, capsys):
         files = {}

@@ -1,6 +1,8 @@
 """Tests for the one-step and two-step stationary iterations."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ class TestMinNormLsq:
 class TestSolveDouble:
     def test_identity_reaches_b(self):
         d = make_pds(np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-        trace = solve_double(d, [1.0, 2.0])
+        trace = solve_double(d, [1.0, 2.0], keep_iterates=True)
         assert trace.converged and not trace.diverged
         assert np.allclose(trace.limit, [1.0, 2.0])
         assert np.allclose(trace.iterates[2], [1.0, 2.0])  # exact after one application
@@ -77,7 +79,7 @@ class TestSolveDouble:
         assert np.max(np.abs(trace.limit - np.array([1.0, 1.0, 0.0]))) < 1e-7
 
     def test_trace_invariants(self, ex2_splittings):
-        trace = solve_double(ex2_splittings[0], [1.0, 1.0])
+        trace = solve_double(ex2_splittings[0], [1.0, 1.0], keep_iterates=True)
         assert len(trace.residual_history) == trace.iterations_used
         assert trace.residual_history[-1] <= 1e-10
         assert len(trace.iterates) == trace.iterations_used + 2
@@ -100,7 +102,7 @@ class TestSolveDouble:
             n = d.a.shape[1]
             b = d.a @ rng.standard_normal(n)
             cfg = ToleranceConfig(solve_tol=0.0, max_iter=100)
-            trace = solve_double(d, b, cfg=cfg)
+            trace = solve_double(d, b, cfg=cfg, keep_iterates=True)
             w = iteration_matrix(d)
             bvec = np.concatenate([pinv(d.p) @ b, np.zeros(n)])
             state = np.concatenate([trace.iterates[1], trace.iterates[0]])
@@ -172,7 +174,7 @@ class TestSolveSingle:
 
     def test_residual_history_length(self):
         s = make_proper_splitting(np.eye(2), 2.0 * np.eye(2))
-        trace = solve_single(s, [1.0, 1.0])
+        trace = solve_single(s, [1.0, 1.0], keep_iterates=True)
         assert len(trace.residual_history) == trace.iterations_used
         assert len(trace.iterates) == trace.iterations_used + 1
 
@@ -344,8 +346,9 @@ def _replay(rows):
 
 
 def _replayed(solve, *args, **kwargs):
-    """``(trace, rows)``: ``solve(*args, **kwargs)``'s trace and every row
-    its loop computed, in order, those past the stop included.
+    """``(trace, rows)``: ``solve(*args, keep_iterates=True, **kwargs)``'s
+    trace and every row its loop computed, in order, those past the stop
+    included.
 
     ``solvers._iterate`` is wrapped so that each block its ``advance``
     returns is recorded.  The rows are taken from the solver rather than
@@ -365,7 +368,7 @@ def _replayed(solve, *args, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_iterate", recording)
-        trace = solve(*args, **kwargs)
+        trace = solve(*args, keep_iterates=True, **kwargs)
     return trace, rows
 
 
@@ -402,6 +405,19 @@ _LOOP_CONFIGS = {
     "solve_tol=0": ToleranceConfig(solve_tol=0.0, max_iter=300),
     "solve_tol=1e-6": ToleranceConfig(solve_tol=1e-6),
 }
+_LOOP_RHOS = [0.5, 0.95, 0.99, 1.05, 3.0]
+_LOOP_SHAPES = [(6, 5, 3), (5, 6, 2), (12, 10, 6)]
+
+
+def _loop_case(shape, rho):
+    """A weak regular double splitting of ``shape`` (m, n, rank) with
+    rho(W) = rho, its induced single splitting, a right-hand side and a
+    random pair of starts."""
+    m, n, rank = shape
+    rng = default_rng(int(1000 * rho) + 7 * m + n)
+    d = weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3)
+    b = rng.uniform(0.5, 1.5, m)
+    return d, induced_single(d), b, rng.standard_normal(n), rng.standard_normal(n)
 
 
 class TestLoopMatchesReference:
@@ -410,15 +426,10 @@ class TestLoopMatchesReference:
     m < n and m > n, max_iter exhaustion, solve_tol = 0, and zero or random
     starting vectors."""
 
-    @pytest.mark.parametrize("rho", [0.5, 0.95, 0.99, 1.05, 3.0])
-    @pytest.mark.parametrize("shape", [(6, 5, 3), (5, 6, 2), (12, 10, 6)])
+    @pytest.mark.parametrize("rho", _LOOP_RHOS)
+    @pytest.mark.parametrize("shape", _LOOP_SHAPES)
     def test_bit_identical_traces(self, shape, rho):
-        m, n, rank = shape
-        rng = default_rng(int(1000 * rho) + 7 * m + n)
-        d = weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3)
-        s = induced_single(d)
-        b = rng.uniform(0.5, 1.5, m)
-        x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
+        d, s, b, x0, x1 = _loop_case(shape, rho)
         outcomes = set()
         for cfg in _LOOP_CONFIGS.values():
             for start0, start1 in ((None, None), (x0, x1)):
@@ -586,9 +597,8 @@ class TestChunkBoundaries:
         start = [np.array([0.5])] * need_small
         cfg = ToleranceConfig(max_iter=len(values))
         it = iter(values)
-        got = _iterate(
-            _scripted(lambda row: row.fill(next(it))), start, np.zeros(1), need_small, False, cfg
-        )
+        advance = _scripted(lambda row: row.fill(next(it)))
+        got = _iterate(advance, start, np.zeros(1), need_small, False, cfg, True)
         it_ref = iter(values)
         want = _reference_iterate(
             lambda xs: np.array([next(it_ref)]), start, np.zeros(1), need_small, False, cfg
@@ -621,7 +631,7 @@ class TestChunkBoundaries:
                 row.fill(math.inf if len(calls) == k else (-1.0) ** len(calls))
 
             cfg = ToleranceConfig(solve_tol=0.0)
-            trace = _iterate(_scripted(update), [np.zeros(1)], np.zeros(1), 1, False, cfg)
+            trace = _iterate(_scripted(update), [np.zeros(1)], np.zeros(1), 1, False, cfg, True)
             assert trace.diverged and trace.iterations_used == k
             assert len(trace.iterates) == k + 1
             assert len(calls) <= max(_FIRST_CHUNK, 2 * k - 2)
@@ -637,7 +647,7 @@ def _scripted_traces(values, start, need_small, cfg):
     x0 = [np.array([start])] * need_small
     it = iter(values)
     got = _iterate(
-        _scripted(lambda row: row.fill(next(it))), x0, np.zeros(1), need_small, False, cfg
+        _scripted(lambda row: row.fill(next(it))), x0, np.zeros(1), need_small, False, cfg, True
     )
     it_ref = iter(values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -761,7 +771,7 @@ class TestNoAliasing:
     def test_traces_own_their_iterates(self, double):
         d, s, b, starts = _slow_pair(8, 0.9)
         split, solve = (d, solve_double) if double else (s, solve_single)
-        first = solve(split, b, *starts[: 2 if double else 1])
+        first = solve(split, b, *starts[: 2 if double else 1], keep_iterates=True)
         bits = _trace_bits(first)
         solve(split, 2.0 * b + 1.0)
         assert _trace_bits(first) == bits
@@ -771,6 +781,49 @@ class TestNoAliasing:
         for i, (x, gx) in enumerate(zip(first.iterates, groups)):
             for y, gy in zip(first.iterates[i + 1 :], groups[i + 1 :]):
                 assert gx == gy or not np.shares_memory(x, y)
+
+
+class TestKeepIterates:
+    """A solve keeps its iterates only when asked; nothing else in its trace
+    depends on that, and without them its memory does not grow with the
+    number of steps."""
+
+    @pytest.mark.parametrize("rho", _LOOP_RHOS)
+    @pytest.mark.parametrize("shape", _LOOP_SHAPES)
+    def test_default_trace_equals_the_kept_trace(self, shape, rho):
+        d, s, b, x0, x1 = _loop_case(shape, rho)
+        for cfg in _LOOP_CONFIGS.values():
+            for start0, start1 in ((None, None), (x0, x1)):
+                for solve, split, starts in (
+                    (solve_double, d, (start0, start1)),
+                    (solve_single, s, (start0,)),
+                ):
+                    kept = solve(split, b, *starts, cfg=cfg, keep_iterates=True)
+                    got = solve(split, b, *starts, cfg=cfg)
+                    assert got.iterates is None
+                    assert len(kept.iterates) == kept.iterations_used + len(starts)
+                    no_iterates = [replace(t, iterates=[]) for t in (got, kept)]
+                    assert _trace_bits(no_iterates[0]) == _trace_bits(no_iterates[1])
+
+    def test_memory_does_not_grow_with_the_iterations(self):
+        rng = default_rng(19)
+        d = weak_regular_double(rng, 50, 40, 20, rho=0.99, nullspace_mix=0.3)
+        b = rng.uniform(0.5, 1.5, 50)
+        check_convergence(d)  # the shared factors, in the memo before the solves
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for keep in (False, True):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                trace = solve_double(d, b, keep_iterates=keep)
+                peaks[keep] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert trace.converged and trace.iterations_used > 3000
+        iterate_bytes = trace.iterations_used * d.a.shape[1] * 8
+        assert peaks[False] < iterate_bytes / 4
+        assert peaks[True] > iterate_bytes
 
 
 class TestMemo:
