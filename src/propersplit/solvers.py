@@ -7,9 +7,10 @@ spectral radius of the corresponding iteration matrix is below one.
 
 Every block maps into ``range(P^+) = span(V_r)`` (``range(U^+)`` for the
 single scheme), so every computed iterate is ``V_r z + c`` with c the constant
-term and z in R^r.  Each step is one gemv on z, and each block of z rows is
-lifted to x once (see :func:`_advance`).  A trace holds the iterates, in
-full coordinates, only when the solve is given ``keep_iterates=True``;
+term and z in R^r.  A gemv on z takes one step, or up to 8 from a precomputed
+multi-step map once a run is long, and each block of z rows is lifted to x
+once (see :func:`_advance`).  A trace holds the iterates, in full
+coordinates, only when the solve is given ``keep_iterates=True``;
 otherwise each block is freed once its norms are taken, and the rows are the
 full recursion to rounding either way.
 
@@ -92,6 +93,10 @@ def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> boo
 # _CHUNK rows.
 _FIRST_CHUNK = 8
 _CHUNK = 64
+# The largest p-row step map (see _rows_per_call), in entries: 32 KB.
+_MAP_ENTRIES = 4096
+# |z_k - z_{k-1}|^2 <= _FLOOR |z_k|^2: the rows are at the rounding floor.
+_FLOOR = (64 * np.finfo(float).eps) ** 2
 
 
 def _push_ratio(ratios: list[float], prev_step: float, step: float) -> None:
@@ -213,6 +218,30 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates)
     )
 
 
+def _rows_per_call(r: int, h: int) -> int:
+    """The largest power of two p <= _FIRST_CHUNK whose p-row map (see
+    :func:`_multistep`) has at most _MAP_ENTRIES entries; 1 at r = 0."""
+    p = _FIRST_CHUNK if r else 1
+    while p > 1 and (p * (r + 1) - 1) * h * (r + 1) > _MAP_ENTRIES:
+        p //= 2
+    return p
+
+
+def _multistep(m: np.ndarray, h: int, p: int) -> np.ndarray:
+    """The ``(p(r+1) - 1) x h(r+1)`` map from the window of M = m (see
+    :func:`_advance`) to the next p rows ``[z, 1, ..., z, 1, z]``: M, then
+    each z block M times the h blocks before it, each 1 row ``e_last``.
+    M itself where the map is not finite, as when the powers of M overflow."""
+    r, width = m.shape
+    ext = np.eye(width + p * (r + 1) - 1, width)  # the window, then the map
+    ext[width + r :: r + 1, -1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(width, len(ext), r + 1):
+            ext[i : i + r] = m @ ext[i - width : i]
+    # column-major: numpy's gemv then runs about 20% faster at these shapes
+    return ext[width:].copy(order="F") if np.isfinite(ext).all() else m
+
+
 def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
     """``advance(k)`` for :func:`_iterate`, for the recursion
     ``x_{k+1} = B_1 x_k + ... + B_h x_{k-h+1} + c``, whose blocks
@@ -225,29 +254,48 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
     ``[z, 1]``, so the last h rows are one contiguous window and a step is
     one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``.  A block's rows
     follow the previous block's last h rows, which it first copies to the top
-    of the buffer; the ``(window, row)`` views of a block row are made once,
-    when a block first reaches that row.  The first h steps read the starts,
-    which may lie outside ``range(V_r)``, through the ``V_r^T B_j``.  Each
-    block of z rows is lifted to x once, by one gemm and one add, into a
-    fresh array.  With B = 0 every iterate is c bit for bit."""
+    of the buffer.  The first h steps read the starts, which may lie outside
+    ``range(V_r)``, through the ``V_r^T B_j``.
+
+    From a run's first _CHUNK block on, one gemv takes p steps (see
+    :func:`_rows_per_call`): p rows less the last one's 1 are one contiguous
+    slice, which the map of :func:`_multistep` computes from the window
+    before them; a block cut by ``max_iter`` ends on a row prefix of the map.
+    The rows are then the recursion to rounding, not bit for bit.  Where the
+    map is not finite, steps stay one row per gemv, and they go back to one
+    once a block's last two z rows agree to within 64 eps relative (see
+    _FLOOR): only M's own rounding reaches the fixed point that a stop at
+    ``solve_tol = 0`` needs.  The ``(window, out)`` views of a block's calls
+    are made once, when a block first reaches that call.  Each block of z
+    rows is lifted to x once, by one gemm and one add, into a fresh array.
+    With B = 0 every iterate is c bit for bit."""
     reads = [basis.T @ b for b in blocks]
     r, h = basis.shape[1], len(start)
-    m = np.zeros((r, h * (r + 1)))
+    q = r + 1
+    m = np.zeros((r, h * q))
     for j, read in enumerate(reversed(reads)):
-        m[:, j * (r + 1) : j * (r + 1) + r] = read @ basis
+        m[:, j * q : j * q + r] = read @ basis
     m[:, -1] = sum(vb @ c for vb in reads)
-    step = m.dot  # the bound method skips np.dot's dispatch, about 0.5 us a step
-    buf = np.ones((h + _CHUNK, r + 1))
+    buf = np.ones((h + _CHUNK, q))
     rows = buf[h:, :r]  # block row i is buf[h + i]
-    # block row i's window is the h rows before it, [z_{i-h}, 1, ..., z_{i-1}, 1]
-    windows = np.ndarray((_CHUNK, h * (r + 1)), buffer=buf, strides=(buf.strides[0], buf.itemsize))
-    pairs = []  # (window, row) of block rows 0, 1, ...
     xs = list(start)  # the full-coordinate inputs of the first h steps
     first = h
     last = 0  # the previous block's row count
+    wide = _rows_per_call(r, h)
+
+    def use(mat):
+        """Step with M or a p-row map: call i reads rows ip-h .. ip-1."""
+        nonlocal chain, p, windows, outs, pairs
+        chain, p, pairs = mat, (len(mat) + 1) // q, []
+        strides = (p * buf.strides[0], buf.itemsize)
+        windows = np.ndarray((_CHUNK // p, h * q), buffer=buf, strides=strides)
+        outs = np.ndarray((_CHUNK // p, p * q - 1), buffer=buf[h:], strides=strides)
+
+    chain = p = windows = outs = pairs = None
+    use(m)
 
     def advance(k):
-        nonlocal first, last
+        nonlocal first, last, wide
         buf[:h] = buf[last : last + h]
         lead = min(first, k)
         first -= lead
@@ -255,11 +303,23 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
             row[:] = sum(vb @ x for vb, x in zip(reads, reversed(xs)))
             xs.append(basis @ row + c)
             del xs[0]
+        if k == _CHUNK and wide > 1:
+            use(_multistep(m, h, wide))
+            wide = 1
+        full, rest = divmod(k, p)  # p > 1 only after the first block: lead = 0
         made = len(pairs)
-        if made < k:
-            pairs.extend(zip(windows[made:k], rows[made:k]))
-        for window, row in pairs[lead:k]:
-            step(window, out=row)
+        if made <= full:
+            pairs.extend(zip(windows[made : full + 1], outs[made : full + 1]))
+        step = chain.dot  # the bound method skips np.dot's dispatch, about 0.5 us a call
+        for window, out in pairs[lead:full]:
+            step(window, out=out)
+        if rest:
+            window, out = pairs[full]
+            chain[: rest * q - 1].dot(window, out=out[: rest * q - 1])
+        if p > 1 and k > 1:
+            z, dz = rows[k - 1], rows[k - 1] - rows[k - 2]
+            if dz.dot(dz) <= _FLOOR * z.dot(z):
+                use(m)
         last = k
         x = rows[:k] @ basis.T
         x += c

@@ -976,3 +976,120 @@ class TestRestrictedEdges:
         if at == 1:
             trace = _matches_reference(_single(d), np.ones(12), (x1, None), cfg)
             assert trace.diverged and trace.iterations_used == 1
+
+
+def _at_radius(scaled, rho):
+    """``scaled(t)`` at the scale t > 0, bisected, where rho(W) = rho."""
+    lo, hi = 0.0, 1.0
+    while spectral_radius(iteration_matrix(scaled(hi))) < rho:
+        hi *= 2.0
+    for _ in range(60):
+        d = scaled(0.5 * (lo + hi))
+        if spectral_radius(iteration_matrix(d)) < rho:
+            lo = 0.5 * (lo + hi)
+        else:
+            hi = 0.5 * (lo + hi)
+    return d
+
+
+class TestMultiStep:
+    """From a run's first ``_CHUNK`` block on, one gemv computes p rows from
+    a p-row map: p is sized by the map's entries, the map is built only for
+    long runs, only where p > 1 and only where it is finite, and every row is
+    the full recursion to rounding."""
+
+    def test_rows_per_call(self):
+        # r = 20 is solve-small's rank, r = 120 pipeline-large's
+        assert solvers._rows_per_call(20, 2) == 4
+        assert solvers._rows_per_call(20, 1) == 8
+        assert solvers._rows_per_call(120, 2) == solvers._rows_per_call(120, 1) == 1
+        assert solvers._rows_per_call(0, 2) == solvers._rows_per_call(0, 1) == 1
+        for r in range(130):
+            for h in (1, 2):
+                p = solvers._rows_per_call(r, h)
+                assert _CHUNK % p == 0
+                assert p == 1 or (p * (r + 1) - 1) * h * (r + 1) <= solvers._MAP_ENTRIES
+
+    @pytest.mark.parametrize(("shape", "max_iter", "built"), [
+        ((50, 40, 20), _CHUNK, 0),  # a run of _CHUNK steps: no _CHUNK block
+        ((50, 40, 20), 10000, 1),
+        ((40, 36, 32), 10000, 0),  # p = 1 at r = 32 for the two-step scheme
+    ])
+    def test_the_map_is_built_only_where_it_is_used(self, shape, max_iter, built):
+        m, n, rank = shape
+        rng = default_rng(55)
+        d = weak_regular_double(rng, m, n, rank, rho=0.99, nullspace_mix=0.3)
+        b = rng.uniform(0.5, 1.5, m)
+        calls = []
+        real = solvers._multistep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_multistep", lambda *args: calls.append(args) or real(*args))
+            trace = solve_double(d, b, cfg=ToleranceConfig(max_iter=max_iter))
+        assert trace.iterations_used >= min(max_iter, _CHUNK + 1)
+        assert len(calls) == built
+
+    def test_huge_blocks_diverge_without_a_warning(self):
+        # P = I, R = 1e50 G, S = 0: the steps overflow at once, and the run
+        # stops as diverged on its second iterate, as it did when each step
+        # was one row per gemv
+        g = default_rng(54).uniform(0.0, 1.0, (5, 5))
+        eye = np.eye(5)
+        d = make_pds(eye - 1e50 * g, eye, 1e50 * g, np.zeros((5, 5)))
+        for split in (d, _single(d)):
+            trace = _matches_reference(split, np.ones(5), (None, None), ToleranceConfig())
+            assert trace.diverged and trace.iterations_used == 2
+
+    def test_an_overflowing_map_steps_one_row_per_call(self):
+        # x_{k+1} = B x_k + c with B = [[0.9, 1e308], [0, 0.9]] and c = e_1:
+        # the second coordinate stays 0 and the run converges to 10 e_1 in
+        # about 200 steps, but B^2 overflows, so the 8-row map is not finite
+        # and the steps stay one row per gemv
+        big = np.array([[0.9, 1e308], [0.0, 0.9]])
+        c, zero = np.array([1.0, 0.0]), np.zeros(2)
+        advance = solvers._advance([big], np.eye(2), c, [zero])
+        cfg = ToleranceConfig()
+        trace = _iterate(advance, [zero], np.array([10.0, 0.0]), 1, False, cfg, True)
+        assert trace.converged and trace.iterations_used > 2 * _CHUNK
+        xs = trace.iterates
+        for before, x in zip(xs, xs[1:]):
+            assert x[1] == 0.0
+            assert abs(x[0] - (0.9 * before[0] + 1.0)) <= 4e-16 * 10.0
+
+    @pytest.mark.parametrize("rho", [0.9, 0.99, 1.05])
+    def test_nonnormal_rows_follow_the_full_recursion(self, rho):
+        # the square splittings of TestLoopMatchesReference's complex
+        # spectrum test (p = 8 for both schemes at n = 6)
+        rng = default_rng(int(100 * rho))
+        n = 6
+        eye = np.eye(n)
+        g_r, g_s = rng.standard_normal((2, n, n))
+        d = _at_radius(lambda t: make_pds(eye - t * (g_r - g_s), eye, t * g_r, t * g_s), rho)
+        b = rng.uniform(0.5, 1.5, n)
+        starts = tuple(rng.standard_normal((2, n)))
+        for cfg in _LOOP_CONFIGS.values():
+            for x in ((None, None), starts):
+                for split in (d, _single(d)):
+                    _follows_recursion(split, b, x, cfg)
+
+    @pytest.mark.parametrize("rho", [0.9, 0.99, 1.05])
+    def test_nonnormal_rows_follow_the_full_recursion_at_50x40(self, rho):
+        # rank 20, P^+R = t Q G_R Q and P^+S = t Q G_S Q with Q = P^+P and
+        # G_R, G_S standard normal: p = 4 for the two-step scheme, 8 for the
+        # one-step scheme
+        rng = default_rng(56 + int(100 * rho))
+        p = rng.standard_normal((50, 20)) @ rng.standard_normal((20, 40))
+        g_r, g_s = rng.standard_normal((2, 40, 40))
+        q = pinv(p) @ p
+
+        def scaled(t):
+            r, s = t * p @ g_r @ q, t * p @ g_s @ q
+            return make_pds(p - r + s, p, r, s)
+
+        d = _at_radius(scaled, rho)
+        assert d.rowspace().shape == (40, 20)
+        b = rng.uniform(0.5, 1.5, 50)
+        starts = tuple(rng.standard_normal((2, 40)))
+        for cfg in _LOOP_CONFIGS.values():
+            for x in ((None, None), starts):
+                for split in (d, _single(d)):
+                    _follows_recursion(split, b, x, cfg)
