@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[common], help="comparison theorem checker")
     p.add_argument("theorem", choices=sorted(_THEOREMS))
     p.add_argument("files", nargs=7, metavar="FILE", help="A P1 R1 S1 P2 R2 S2")
-    p.add_argument("--square-corollary", action="store_true", help="add the R1 >= R2 check (A must be square nonsingular, whose inverses the splittings already hold)")
+    p.add_argument("--square-corollary", action="store_true", help="A must be square nonsingular, whose inverses the splittings already hold; the two theorems ordering P1^+ >= P2^+ add the R1 >= R2 check")
 
     return parser
 

@@ -7,9 +7,9 @@ conclusion ``rho(W1) <= rho(W2) < 1`` was predicted by the hypotheses and
 whether it was actually observed.  The checkers never throw on a false
 hypothesis: a report with failed verdicts is itself the product.
 
-``square_corollary=True`` adds the ``R1 >= R2`` check and requires a square
-nonsingular A, whose inverses the splittings already hold; it records when
-``R1 >= R2`` together with the inverse ordering implies branch (i).
+``square_corollary=True`` requires a square nonsingular A, whose inverses
+the splittings already hold.  Where the theorem orders ``P1^+ >= P2^+`` (not
+weak-vs-weak) it adds ``R1 >= R2`` and notes when both imply branch (i).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    _restricted_radius,
-    matrix_rank,
     max_abs_diff,
     nonneg_residual,
 )
@@ -97,14 +95,6 @@ def _geq_verdict(label: str, x, y, cfg: ToleranceConfig) -> HypothesisVerdict:
     return _nonneg_verdict(label, np.asarray(x) - np.asarray(y), cfg)
 
 
-def _require_invertible(a, cfg: ToleranceConfig) -> None:
-    m, n = a.shape
-    if m != n:
-        raise NotInvertibleError(f"square corollary mode needs a square A, got {a.shape}")
-    if matrix_rank(a, cfg) < n:
-        raise NotInvertibleError("square corollary mode needs a nonsingular A")
-
-
 def compare(
     theorem: TheoremId,
     d1: ProperDoubleSplitting,
@@ -114,18 +104,21 @@ def compare(
 ) -> ComparisonReport:
     """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2).
 
-    Each ``rho_i`` follows the one radius rule, ``core._restricted_radius``,
-    on ``range(P_i^+)``.  Square-corollary mode checks that A is square and
-    nonsingular and adds the ``R1 >= R2`` check; it reads the same factors,
-    since for such an A, and a proper P_i, ``A^+`` and ``P_i^+`` are the
-    classical inverses.
+    Each ``rho_i`` is ``d_i.companion_radius(cfg)``.  Square-corollary mode
+    checks that A is square and nonsingular, A's rank being P1's, and, where
+    the theorem orders ``P1^+ >= P2^+``, adds the ``R1 >= R2`` check.  It
+    factors nothing new: for such an A, and a proper P_i, ``A^+`` and
+    ``P_i^+`` are the classical inverses.
     """
     if d1.a.shape != d2.a.shape or max_abs_diff(d1.a, d2.a) > cfg.eq_abs_tol:
         raise DifferentAError("both double splittings must decompose the same matrix A")
     a = d1.a
     notes: list[str] = []
     if square_corollary:
-        _require_invertible(a, cfg)
+        if a.shape[0] != a.shape[1]:
+            raise NotInvertibleError(f"square corollary mode needs a square A, got {a.shape}")
+        if d1.rowspace(cfg).shape[1] < a.shape[1]:
+            raise NotInvertibleError("square corollary mode needs a nonsingular A")
         notes.append("square corollary mode: A is invertible, classical inverse used")
     a_inv, p1_inv = d1.pinvs(cfg)
     p2_inv = d2.pinvs(cfg)[1]
@@ -135,21 +128,17 @@ def compare(
 
     # the hypotheses the theorem requires; the branch conditions follow them
     required = [_nonneg_verdict("A^+ >= 0", a_inv, cfg)]
-    p_order = None  # P1^+ >= P2^+, for the two theorems that require it
     if theorem is TheoremId.REGULAR_VS_WEAK:
-        p_order = _geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg)
         required += [
             _verdict("splitting 1 regular", regular1, cfg),
             _nonneg_verdict("P1 P1^+ >= 0", d1.p @ p1_inv, cfg),
             _verdict("splitting 2 weak regular", weak2, cfg),
-            p_order,
         ]
     elif theorem is TheoremId.WEAK_VS_REGULAR:
         e = np.ones(a.shape[0])
         e_residual = float(np.linalg.norm(e - a @ (a_inv @ e)))
         e_in_range = bool(e_residual <= cfg.eq_abs_tol * np.sqrt(a.shape[0]))
         smallest_row_max = float(np.min(np.max(np.abs(p2_inv), axis=1)))
-        p_order = _geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg)
         required += [
             HypothesisVerdict("e in range(A)", e_in_range, e_residual),
             _verdict("splitting 1 weak regular", weak1, cfg),
@@ -158,7 +147,6 @@ def compare(
                 "P2^+ has no zero row", smallest_row_max > cfg.nonneg_slack, smallest_row_max
             ),
             _nonneg_verdict("P2 P2^+ >= 0", d2.p @ p2_inv, cfg),
-            p_order,
         ]
     else:  # WEAK_VS_WEAK
         required += [
@@ -166,6 +154,10 @@ def compare(
             _verdict("splitting 2 weak regular", weak2, cfg),
             _geq_verdict("P1^+ A >= P2^+ A", p1_inv @ a, p2_inv @ a, cfg),
         ]
+    p_order = None  # P1^+ >= P2^+, which the other two theorems require last
+    if theorem is not TheoremId.WEAK_VS_WEAK:
+        p_order = _geq_verdict("P1^+ >= P2^+", p1_inv, p2_inv, cfg)
+        required.append(p_order)
 
     branch_i = _geq_verdict("P1^+ R1 >= P2^+ R2", pr1, pr2, cfg)
     branch_ii = _geq_verdict("P1^+ S1 >= P2^+ S2", ps1, ps2, cfg)
@@ -188,8 +180,8 @@ def compare(
     else:
         branch_used = Branch.NEITHER
 
-    rho1 = _restricted_radius(d1.rowspace(cfg), (pr1, ps1), cfg)
-    rho2 = _restricted_radius(d2.rowspace(cfg), (pr2, ps2), cfg)
+    rho1 = d1.companion_radius(cfg)
+    rho2 = d2.companion_radius(cfg)
 
     predicted = all(v.passed for v in required) and branch_used is not Branch.NEITHER
     observed = rho1 <= rho2 + cfg.spectral_tol and rho2 < 1.0 - cfg.spectral_tol

@@ -360,8 +360,8 @@ def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float
     :func:`companion_from_blocks` of two blocks, where every block maps into
     ``range(basis)`` and ``basis`` (n x r) has orthonormal columns.
 
-    This is the one radius rule behind ``check_convergence``,
-    ``check_semimonotone_equivalence`` and ``compare``.  For 0 < r <= n the
+    This is the one radius rule, read only through ``ProperSplitting.radius``
+    and ``ProperDoubleSplitting.companion_radius``.  For 0 < r <= n the
     radius comes from one of two paths:
 
     - bracket path: when the blocks are sign-correct (one block ``>= 0``; or

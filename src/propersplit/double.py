@@ -52,8 +52,9 @@ class ProperDoubleSplitting(ProperSplitting):
     """Validated quadruple A = P - R + S with P proper over A.
 
     It is its induced single splitting ``U = P, V = R - S``, with R and S
-    kept beside it: proper-ness, ``pinvs``, ``rowspace``, ``block`` and the
-    memo holding them are those of that splitting."""
+    kept beside it: proper-ness, ``pinvs``, ``rowspace``, ``block``,
+    ``radius`` (``rho(P^+(R - S))``) and the memo are those of that
+    splitting.  :meth:`companion_radius` is ``rho(W)``."""
 
     r: np.ndarray
     s: np.ndarray
@@ -67,6 +68,10 @@ class ProperDoubleSplitting(ProperSplitting):
         """Read-only ``(P^+ R, P^+ S)``, kept beside ``block``'s ``P^+ (R - S)``."""
         p_pinv = self.pinvs(cfg)[1]
         return self._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
+
+    def companion_radius(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+        """``rho(W)`` by ``core._restricted_radius``, taken on each call."""
+        return _restricted_radius(self.rowspace(cfg), self.blocks(cfg), cfg)
 
 
 def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDoubleSplitting:
@@ -133,10 +138,10 @@ class ConvergenceReport:
     splitting is not at least weak regular, where no equivalence is claimed.
     ``guaranteed_convergent`` is True when A is semi-monotone and the class is
     weak regular or stronger, the hypotheses under which convergence is a
-    theorem; it is ``None`` when those hypotheses fail.  Both radii follow
-    the one radius rule, ``core._restricted_radius``, on ``range(P^+)``.
-    The field order is the key order of the CLI's ``classify double`` JSON
-    document.
+    theorem; it is ``None`` when those hypotheses fail.  The radii are the
+    splitting's own :meth:`~ProperDoubleSplitting.companion_radius` and
+    ``radius``.  The field order is the key order of the CLI's
+    ``classify double`` JSON document.
     """
 
     splitting_class: DoubleSplittingClass
@@ -151,12 +156,10 @@ class ConvergenceReport:
 def check_convergence(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConvergenceReport:
-    """Classify d and take both radii on ``range(P^+)`` by the rule of
-    ``core._restricted_radius``."""
+    """Classify d and take its two radii, ``rho(W)`` first."""
     cls = classify_double(d, cfg)
-    basis = d.rowspace(cfg)
-    rho_w = _restricted_radius(basis, d.blocks(cfg), cfg)
-    rho_induced = _restricted_radius(basis, (d.block(cfg),), cfg)
+    rho_w = d.companion_radius(cfg)
+    rho_induced = d.radius(cfg)
     semi = is_nonneg(d.pinvs(cfg)[0], cfg)
     converges = rho_w < 1.0
 

@@ -337,13 +337,7 @@ def solve_single(
 ) -> IterationTrace:
     """One-step stationary iteration for the single splitting A = U - V.
     The trace holds every iterate only with ``keep_iterates``."""
-    m, n = s.a.shape
-    b = as_vector(b, length=m)
-    x = np.zeros(n) if x0 is None else as_vector(x0, length=n)
-    a_pinv, u_pinv = s.pinvs(cfg)
-    advance = _advance([s.block(cfg)], s.rowspace(cfg), u_pinv @ b, [x])
-    x0_flag = _in_nullspace(s.v, x, cfg)
-    return _iterate(advance, [x], a_pinv @ b, 1, x0_flag, cfg, keep_iterates)
+    return _solve(s, b, [x0], [s.block(cfg)], cfg, keep_iterates)
 
 
 def solve_double(
@@ -361,13 +355,17 @@ def solve_double(
     coincidence, so a stop needs two small steps in a row.  The trace holds
     every iterate only with ``keep_iterates``.
     """
-    m, n = d.a.shape
-    b = as_vector(b, length=m)
-    x_prev = np.zeros(n) if x0 is None else as_vector(x0, length=n)
-    x_curr = np.zeros(n) if x1 is None else as_vector(x1, length=n)
-    a_pinv, p_pinv = d.pinvs(cfg)
     pr, ps = d.blocks(cfg)
-    start = [x_prev, x_curr]
-    advance = _advance([pr, -ps], d.rowspace(cfg), p_pinv @ b, start)
-    x0_flag = _in_nullspace(d.v, x_prev, cfg)
-    return _iterate(advance, start, a_pinv @ b, 2, x0_flag, cfg, keep_iterates)
+    return _solve(d, b, [x0, x1], [pr, -ps], cfg, keep_iterates)
+
+
+def _solve(s, b, starts, blocks, cfg, keep_iterates) -> IterationTrace:
+    """The recursion on ``blocks`` (see :func:`_advance`) from one start per
+    block, None being zero; a stop needs one small step per start in a row."""
+    m, n = s.a.shape
+    b = as_vector(b, length=m)
+    start = [np.zeros(n) if x is None else as_vector(x, length=n) for x in starts]
+    a_pinv, u_pinv = s.pinvs(cfg)
+    advance = _advance(blocks, s.rowspace(cfg), u_pinv @ b, start)
+    x0_flag = _in_nullspace(s.v, start[0], cfg)
+    return _iterate(advance, start, a_pinv @ b, len(start), x0_flag, cfg, keep_iterates)

@@ -140,6 +140,10 @@ class ProperSplitting:
         """Read-only ``U^+ V``, the iteration matrix of the one-step scheme."""
         return self._owned("U^+V", cfg, lambda: (self.pinvs(cfg)[1] @ self.v,))[0]
 
+    def radius(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+        """``rho(U^+ V)`` by ``core._restricted_radius``, taken on each call."""
+        return _restricted_radius(self.rowspace(cfg), (self.block(cfg),), cfg)
+
 
 # The A^+ derived from U's SVD is kept only when it makes A A^+ and A^+ A equal
 # U's orthogonal projectors to within this, however loose eq_abs_tol is.
@@ -203,8 +207,8 @@ class SemimonotoneEquivalenceReport:
     ``A^+ V >= 0`` and ``rho(U^+ V) < 1`` hold or fail together; ``agree``
     records whether the computed verdicts actually did.  ``splitting_class``
     is the class the check found, so a caller needs no second
-    :func:`classify_single`.  ``iteration_radius`` follows the one radius
-    rule, ``core._restricted_radius``, on ``range(U^+)``.  The field order is
+    :func:`classify_single`.  ``iteration_radius`` is the splitting's own
+    :meth:`ProperSplitting.radius`.  The field order is
     the key order of the CLI's ``classify single`` JSON document, where the
     class comes before the projector residuals.
     """
@@ -228,7 +232,7 @@ def check_semimonotone_equivalence(
     a_pinv = s.pinvs(cfg)[0]
     cond_semi = is_nonneg(a_pinv, cfg)
     cond_av = is_nonneg(a_pinv @ s.v, cfg)
-    rho = _restricted_radius(s.rowspace(cfg), (s.block(cfg),), cfg)
+    rho = s.radius(cfg)
     cond_rho = rho < 1.0
     agree = cond_semi == cond_av == cond_rho
     return SemimonotoneEquivalenceReport(cls, cond_semi, cond_av, rho, cond_rho, agree)

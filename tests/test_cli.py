@@ -238,6 +238,11 @@ class TestSolve:
     def test_wrong_file_count_exit_2(self, ex2_files):
         assert main(["solve", "single", ex2_files["a"], ex2_files["p1"]]) == 2
 
+    def test_second_start_on_single_exit_2(self, ex2_files, capsys):
+        files = [ex2_files[k] for k in ("a", "p1", "b")]
+        assert main(["solve", "single", *files, "--x1", ex2_files["b"]]) == 2
+        assert "--x1 applies to the double scheme only" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_first_example_converse_pattern(self, ex1_files, capsys):
@@ -302,6 +307,22 @@ class TestCompare:
             "square corollary mode: A is invertible, classical inverse used",
             "branch (i) implied: P1^+ >= P2^+ >= 0 and R1 >= R2 >= 0 force P1^+ R1 >= P2^+ R2",
         ]
+
+    @pytest.mark.parametrize("theorem, ordered", [
+        ("regular-vs-weak", True), ("weak-vs-regular", True), ("weak-vs-weak", False),
+    ])
+    def test_square_corollary_orders_r_only_where_p_is_ordered(self, theorem, ordered, capsys):
+        # R1 >= R2 and the branch (i) note need P1^+ >= P2^+, which
+        # weak-vs-weak does not require
+        argv = ["compare", theorem] + [
+            str(DATA / f"sq_{k}.mat") for k in ("a", "p1", "r1", "s1", "p2", "r2", "s2")
+        ] + ["--square-corollary", "--format", "json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        labels = [h["label"] for h in doc["hypotheses"]]
+        assert ("R1 >= R2" in labels) is ordered
+        assert ("P1^+ >= P2^+" in labels) is ordered
+        assert any(n.startswith("branch (i) implied") for n in doc["notes"]) is ordered
 
     def test_square_corollary_flag_on_rectangular_exit_4(self, ex1_files):
         argv = ["compare", "regular-vs-weak"] + [

@@ -157,6 +157,15 @@ class TestSquareCorollary:
         for theorem, (d1, d2) in pairs:
             assert compare(theorem, d1, d2, cfg, square_corollary=True).square_corollary
 
+    def test_no_factorization_beyond_the_splittings_own(self, cfg, count_svds):
+        # A's rank is P1's, so square mode runs no SVD of A
+        rng = default_rng(61)
+        for theorem in TheoremId:
+            d1, d2 = comparison_pair(rng, theorem, 6, 6, 6, cfg)
+            for d in (d1, d2):
+                d.pinvs(cfg)  # the splittings' own factors, formed before counting
+            assert count_svds(lambda: compare(theorem, d1, d2, cfg, square_corollary=True)) == 0
+
     def test_singular_rejected(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         d = make_pds(a, a, np.zeros((2, 2)), np.zeros((2, 2)))

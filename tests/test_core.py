@@ -15,11 +15,13 @@ from propersplit import (
     ToleranceConfig,
     as_matrix,
     as_vector,
+    companion_from_blocks,
     eigenvalues,
     geq,
     has_zero_row,
     is_nonneg,
     matrix_rank,
+    max_abs_diff,
     nonneg_residual,
     nullspace_projector,
     penrose_residuals,
@@ -260,6 +262,21 @@ class TestPredicates:
         assert has_zero_row(ex1.p1_pinv)  # third row is zero
         assert not has_zero_row(np.eye(3))
         assert not has_zero_row(ex2.p2_pinv)
+
+
+@pytest.mark.parametrize(
+    "func, args, error",
+    [
+        (penrose_residuals, (np.ones((2, 3)), np.ones((2, 3))), ShapeMismatchError),
+        (companion_from_blocks, (np.eye(2), np.eye(3)), ShapeMismatchError),
+        (spectral_radius, (np.ones((2, 3)),), NotSquareError),
+        (max_abs_diff, (np.ones((2, 2)), np.ones((2, 3))), ShapeMismatchError),
+    ],
+    ids=["penrose_residuals", "companion_from_blocks", "spectral_radius", "max_abs_diff"],
+)
+def test_shape_checks(func, args, error):
+    with pytest.raises(error):
+        func(*args)
 
 
 class TestProjectors:

@@ -8,6 +8,9 @@ from propersplit import (
     ConvergenceReport,
     DecompositionMismatchError,
     DoubleSplittingClass,
+    ProperDoubleSplitting,
+    ProperSplitting,
+    ShapeMismatchError,
     TheoremId,
     ToleranceConfig,
     check_convergence,
@@ -25,7 +28,6 @@ from propersplit import (
     solve_single,
     spectral_radius,
 )
-from propersplit import double
 from propersplit.generators import (
     comparison_pair,
     nonneg_block_pair,
@@ -53,6 +55,10 @@ class TestMakePds:
         with pytest.raises(DecompositionMismatchError) as exc:
             make_pds(ex1.a, ex1.p1, ex1.r1, np.zeros_like(ex1.s1))
         assert exc.value.residual > 0.9
+
+    def test_shape_mismatch(self, ex1):
+        with pytest.raises(ShapeMismatchError):
+            make_pds(ex1.a, ex1.p1, ex1.r1, np.zeros((3, 2)))
 
 
 class TestClassifyDouble:
@@ -148,7 +154,8 @@ class TestCheckConvergence:
         # away from 1: inside the band the verdicts count as consistent
         cfg = ToleranceConfig(spectral_tol=1e-6)
         radii = {2: 1.0 - gap * cfg.spectral_tol, 1: 1.0 + gap * cfg.spectral_tol}
-        monkeypatch.setattr(double, "_restricted_radius", lambda q, blocks, c: radii[len(blocks)])
+        monkeypatch.setattr(ProperDoubleSplitting, "companion_radius", lambda d, c: radii[2])
+        monkeypatch.setattr(ProperSplitting, "radius", lambda s, c: radii[1])
         rep = check_convergence(identity_pds(), cfg)
         assert rep.splitting_class is DoubleSplittingClass.REGULAR
         assert (rep.rho_w, rep.rho_induced) == (radii[2], radii[1])

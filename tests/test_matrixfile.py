@@ -52,6 +52,7 @@ def test_roundtrip_hypothesis(values):
         "2 2\n1 2\n3 4\n5 6\n",    # extra row
         "2 2\n1 x\n3 4\n",         # bad token
         "0 2\n",                   # nonpositive dimension
+        "2.5 2\n1 2\n3 4\n",       # non-integer dimension
         "2 2\n1 inf\n3 4\n",       # non-finite value
     ],
 )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from propersplit import (
+    NonFiniteError,
     ShapeMismatchError,
     ToleranceConfig,
     check_convergence,
@@ -57,6 +58,22 @@ class TestMinNormLsq:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             min_norm_lsq(np.eye(2), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("solve", [solve_single, solve_double], ids=["single", "double"])
+@pytest.mark.parametrize(
+    "b, x0, error",
+    [
+        (np.ones((2, 2)), None, ShapeMismatchError),
+        ([1.0, np.nan], None, NonFiniteError),
+        ([1.0, 1.0], np.ones((3, 3)), ShapeMismatchError),
+        ([1.0, 1.0], [0.0, np.inf, 0.0], NonFiniteError),
+    ],
+    ids=["b-matrix", "b-nan", "x0-matrix", "x0-inf"],
+)
+def test_solvers_reject_bad_vectors(ex2_splittings, solve, b, x0, error):
+    with pytest.raises(error):
+        solve(ex2_splittings[0], b, x0)
 
 
 class TestSolveDouble:
