@@ -7,12 +7,14 @@ spectral radius of the corresponding iteration matrix is below one.
 
 Every block maps into ``range(P^+) = span(V_r)`` (``range(U^+)`` for the
 single scheme), so every computed iterate is ``V_r z + c`` with c the constant
-term and z in R^r.  A gemv on z takes one step, or up to 8 from a precomputed
-multi-step map once a run is long, and each block of z rows is lifted to x
-once (see :func:`_advance`).  A trace holds the iterates, in full
-coordinates, only when the solve is given ``keep_iterates=True``;
-otherwise each block is freed once its norms are taken, and the rows are the
-full recursion to rounding either way.
+term and z in R^r.  The solve carries that state and nothing wider: a gemv on
+z takes one step, or up to 8 from a precomputed multi-step map once a run is
+long, and the stop rules take every step norm and iterate norm on rows of
+r + 1 numbers (see :func:`_advance`), which equal the full-coordinate norms
+to rounding.  Only what leaves the solve is lifted to R^n: the limit, one
+row, and, when the solve is given ``keep_iterates=True``, each block of kept
+iterates.  A trace holds the iterates, in full coordinates, only on that
+request.
 
 A note on starting vectors: the classical treatment of the single-splitting
 scheme both requires the initial vector to avoid the null space of V and
@@ -45,10 +47,13 @@ class IterationTrace:
 
     ``iterates`` is None unless the solve was given ``keep_iterates=True``;
     then it holds the starting vector(s) followed by every computed iterate.
-    ``residual_history`` holds one step norm per computed iterate, so its
-    length equals ``iterations_used``.  Every field but ``iterates`` is the
-    same bit for bit with or without it.  ``converged`` requires both the
-    step criterion and closeness to the reference solution ``A^+ b``.
+    ``residual_history`` holds one step norm ``|x_k - x_{k-1}|`` per computed
+    iterate, so its length equals ``iterations_used``; the solvers take it in
+    range coordinates, where it equals the norm of the difference of the
+    lifted iterates to rounding.  ``limit`` is the last iterate (with
+    ``keep_iterates``, ``iterates[-1]`` itself).  Every field but ``iterates``
+    is the same bit for bit with or without it.  ``converged`` requires both
+    the step criterion and closeness to the reference solution ``A^+ b``.
     """
 
     iterates: list[np.ndarray] | None
@@ -87,12 +92,12 @@ def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> boo
 
 # The steps run back to back into blocks of rows; the norms then run once
 # per block.  A block holds as many rows as the run has used so far, at least
-# _FIRST_CHUNK and at most _CHUNK, so the blocks end after rows 8, 16, 32, 64
-# and then every 64 rows.  A run that stops after k > _FIRST_CHUNK rows has
-# computed fewer than 2k, and a long run pays the per-block overhead once per
-# _CHUNK rows.
+# _FIRST_CHUNK and at most _CHUNK, so the blocks end after rows 8, 16, 32, 64,
+# 128 and then every 128 rows.  A run that stops after k > _FIRST_CHUNK rows
+# has computed fewer than 2k, and a long run pays the per-block overhead once
+# per _CHUNK rows.
 _FIRST_CHUNK = 8
-_CHUNK = 64
+_CHUNK = 128
 # The largest p-row step map (see _rows_per_call), in entries: 32 KB.
 _MAP_ENTRIES = 4096
 # |z_k - z_{k-1}|^2 <= _FLOOR |z_k|^2: the rows are at the rounding floor.
@@ -108,15 +113,24 @@ def _push_ratio(ratios: list[float], prev_step: float, step: float) -> None:
         del ratios[:-3]
 
 
-def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates) -> IterationTrace:
-    """Run ``advance(k)``, which returns the next k iterates as a fresh
-    ``(k, n)`` array, from the starting vector(s) ``start``.
+def _iterate(advance, lift, start, reference, need_small, x0_flag, cfg, keep_iterates) -> IterationTrace:
+    """Run ``advance(k)``, which computes the next k iterates, from the
+    starting vector(s) ``start``.
+
+    The loop does not depend on the coordinates the iterates are computed
+    in.  ``advance(k)`` returns ``(rules, rows)``, both valid until the next
+    call: ``rows`` holds the k new iterates as state rows, and ``rules`` is
+    the ``(k + 1, d)`` array of the rows the stop rules read, the iterate
+    before the k new ones first: ``|rules[i] - rules[i - 1]|`` is the step
+    into the i-th new iterate and ``|rules[i]|`` its norm.  ``lift(rows)``
+    returns state rows as a fresh ``(k, n)`` array of iterates.  Where the
+    state is the iterate itself, ``rules`` is the previous row and then
+    ``rows``, and ``lift`` is a copy.
 
     The loop works in blocks of rows (see ``_FIRST_CHUNK``).  It first asks
-    ``advance`` for a block.  It then takes every step norm
-    ``|x_next - x_curr|`` and every iterate norm ``|x_next|`` of the block at
-    once, each the ``sqrt`` of a per-row dot product, as ``np.linalg.norm``
-    computes it.  A run stops:
+    ``advance`` for a block.  It then takes every step norm and every iterate
+    norm of the block at once, each the ``sqrt`` of a per-row dot product, as
+    ``np.linalg.norm`` computes it.  A run stops:
 
     * diverged, on an iterate whose norm is not <= ``OVERFLOW_GUARD``, which
       includes an iterate with NaN or Inf entries (the loop's arithmetic,
@@ -141,14 +155,14 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates)
     block runs the rules row by row, so the stop is the one a row-by-row loop
     makes.
 
-    Rows computed after the stopping row are discarded: with
-    ``keep_iterates`` the trace holds ``iterations_used`` iterates after the
-    start; without, only a copy of the last row outlives its block, as the
-    next block's first step and the limit need it.
+    Rows computed after the stopping row are discarded.  The limit, the
+    last row, is lifted on its own, so that it is the same bit for bit with
+    or without kept iterates.  With ``keep_iterates`` each block's rows up to
+    the stop are lifted too, and the limit takes the last one's place: the
+    trace holds ``iterations_used`` iterates after the start.
     """
     tol = cfg.solve_tol
-    iterates = [x.copy() for x in start]
-    last = iterates[-1]
+    iterates = [x.copy() for x in start] if keep_iterates else None
     residuals: list[float] = []
     ratios: list[float] = []
     prev_step = math.inf
@@ -158,14 +172,13 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates)
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0 and not (step_ok or diverged):
             size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, left)
-            rows = advance(size)
-            diff = np.empty_like(rows)
-            np.subtract(rows[0], last, out=diff[0])
-            np.subtract(rows[1:], rows[:-1], out=diff[1:])
+            rules, rows = advance(size)
+            ahead = rules[1:]
+            diff = ahead - rules[:-1]
             # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
             steps = np.sqrt(np.vecdot(diff, diff))
-            norms = np.sqrt(np.vecdot(rows, rows))
-            if ((steps > tol) & (norms <= OVERFLOW_GUARD)).all():
+            norms = np.sqrt(np.vecdot(ahead, ahead))
+            if steps.min() > tol and norms.max() <= OVERFLOW_GUARD:  # False on a NaN
                 steps = steps.tolist()
                 residuals.extend(steps)
                 recent = ([prev_step] + steps)[-4:]
@@ -192,13 +205,12 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates)
                             step_ok = True
                             break
             if keep_iterates:
-                # a copy, so that the rows computed past a stop are freed
-                iterates.extend(rows if used == len(rows) else rows[:used].copy())
-                last = iterates[-1]
-            else:
-                last = rows[used - 1].copy()
+                iterates.extend(lift(rows[:used]))
+            last = rows[used - 1 : used]
             left -= used
-        limit = last
+        limit = lift(last)[0]
+        if keep_iterates:
+            iterates[-1] = limit
         distance = float(np.linalg.norm(limit - reference))
         converged = bool(
             step_ok
@@ -206,7 +218,7 @@ def _iterate(advance, start, reference, need_small, x0_flag, cfg, keep_iterates)
             and distance <= 10.0 * tol * (1.0 + np.linalg.norm(reference))
         )
     return IterationTrace(
-        iterates=iterates if keep_iterates else None,
+        iterates=iterates,
         residual_history=residuals,
         converged=converged,
         iterations_used=len(residuals),
@@ -243,19 +255,34 @@ def _multistep(m: np.ndarray, h: int, p: int) -> np.ndarray:
 
 
 def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
-    """``advance(k)`` for :func:`_iterate`, for the recursion
-    ``x_{k+1} = B_1 x_k + ... + B_h x_{k-h+1} + c``, whose blocks
-    ``(B_1, ..., B_h)`` map into ``range(V_r)``, V_r being ``basis`` (n x r).
+    """``(advance, lift)`` for :func:`_iterate`, for the recursion
+    ``x_{k+1} = B_1 x_k + ... + B_h x_{k-h+1} + c`` from the starts ``start``,
+    whose blocks ``(B_1, ..., B_h)`` map into ``range(V_r)``, V_r being
+    ``basis`` (n x r).
 
-    Every computed iterate is ``x = V_r z + c`` with z in R^r.  The step
-    matrices are built here, once per solve, and die with it: the r x n
-    ``V_r^T B_j`` and the r x h(r+1) ``M = [G_h, 0, ..., G_1, sum_j V_r^T B_j c]``
-    with ``G_j = V_r^T B_j V_r``.  The z rows sit in one buffer per solve as
+    Every computed iterate is ``x = V_r z + c`` with z in R^r, and z is all
+    the state a solve carries.  The z rows sit in one buffer per solve as
     ``[z, 1]``, so the last h rows are one contiguous window and a step is
-    one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``.  A block's rows
+    one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``, with the
+    r x h(r+1) ``M = [G_h, 0, ..., G_1, V_r^T sum_j B_j c]`` and
+    ``G_j = V_r^T B_j V_r``, built here, once per solve.  A block's rows
     follow the previous block's last h rows, which it first copies to the top
-    of the buffer.  The first h steps read the starts, which may lie outside
-    ``range(V_r)``, through the ``V_r^T B_j``.
+    of the buffer.
+
+    The starts may lie outside ``range(V_r)``, and their rows in the window
+    are 0, their 1s included.  Each of the first h steps adds what M misses
+    of them, r numbers made here: ``V_r^T B_j x`` for each start x it reads,
+    less ``V_r^T B_j c`` from the second step on, where M adds that for
+    every j.  The first step so reads the starts only as the full recursion
+    does, and nothing else of the starts outlives this call.
+
+    The stop rules read ``[z + V_r^T c, 0]``, a z row plus one offset: the
+    norm of x and, differenced, the steps, both to rounding, on r + 1
+    numbers a row.  The row before a run's first is ``[V_r^T x, -|e|]`` for
+    the last start ``x = V_r V_r^T x + e``, so that the first step squares
+    to ``|z_h + V_r^T c - V_r^T x|^2 + |e|^2``.  ``lift`` maps z rows to x
+    by one gemm and one add, into a fresh array, so that with B = 0 every
+    iterate is c bit for bit.
 
     From a run's first _CHUNK block on, one gemv takes p steps (see
     :func:`_rows_per_call`): p rows less the last one's 1 are one contiguous
@@ -266,20 +293,29 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
     once a block's last two z rows agree to within 64 eps relative (see
     _FLOOR): only M's own rounding reaches the fixed point that a stop at
     ``solve_tol = 0`` needs.  The ``(window, out)`` views of a block's calls
-    are made once, when a block first reaches that call.  Each block of z
-    rows is lifted to x once, by one gemm and one add, into a fresh array.
-    With B = 0 every iterate is c bit for bit."""
-    reads = [basis.T @ b for b in blocks]
+    are made once, when a block first reaches that call."""
     r, h = basis.shape[1], len(start)
     q = r + 1
+    # row-major: with M column-major, whole pipeline-large solves (M 120 x 242)
+    # ran 5-7% slower under OpenBLAS 0.3.31's Haswell gemv, solve-small's no faster
     m = np.zeros((r, h * q))
-    for j, read in enumerate(reversed(reads)):
-        m[:, j * q : j * q + r] = read @ basis
-    m[:, -1] = sum(vb @ c for vb in reads)
+    for j, b in enumerate(reversed(blocks)):
+        m[:, j * q : j * q + r] = basis.T @ (b @ basis)
+    m[:, -1] = basis.T @ sum(b @ c for b in blocks)
     buf = np.ones((h + _CHUNK, q))
+    buf[:h] = 0.0
     rows = buf[h:, :r]  # block row i is buf[h + i]
-    xs = list(start)  # the full-coordinate inputs of the first h steps
-    first = h
+    with np.errstate(over="ignore", invalid="ignore"):
+        # step i reads start h + i - j through B_j for j > i
+        fixes = [
+            basis.T @ sum(blocks[j] @ (start[h + i - j - 1] - (c if i else 0.0)) for j in range(i, h))
+            for i in range(h)
+        ]
+        offset = np.append(basis.T @ c, -1.0)
+        x = start[-1]
+        rules = np.empty((_CHUNK + 1, q))  # rules[i + 1] is block row i's
+        rules[0, :r] = basis.T @ x
+        rules[0, r] = -np.linalg.norm(x - basis @ rules[0, :r])
     last = 0  # the previous block's row count
     wide = _rows_per_call(r, h)
 
@@ -295,22 +331,22 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
     use(m)
 
     def advance(k):
-        nonlocal first, last, wide
+        nonlocal last, wide
         buf[:h] = buf[last : last + h]
-        lead = min(first, k)
-        first -= lead
-        for row in rows[:lead]:
-            row[:] = sum(vb @ x for vb, x in zip(reads, reversed(xs)))
-            xs.append(basis @ row + c)
-            del xs[0]
+        rules[0] = rules[last]
         if k == _CHUNK and wide > 1:
             use(_multistep(m, h, wide))
             wide = 1
-        full, rest = divmod(k, p)  # p > 1 only after the first block: lead = 0
+        full, rest = divmod(k, p)
         made = len(pairs)
         if made <= full:
             pairs.extend(zip(windows[made : full + 1], outs[made : full + 1]))
         step = chain.dot  # the bound method skips np.dot's dispatch, about 0.5 us a call
+        lead = min(len(fixes), k)  # the rows that read a start; p = 1 there
+        for (window, out), fix in zip(pairs[:lead], fixes):
+            step(window, out=out)
+            out += fix
+        del fixes[:lead]
         for window, out in pairs[lead:full]:
             step(window, out=out)
         if rest:
@@ -321,11 +357,16 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
             if dz.dot(dz) <= _FLOOR * z.dot(z):
                 use(m)
         last = k
-        x = rows[:k] @ basis.T
+        block = buf[h : h + k]
+        np.add(block, offset, out=rules[1 : k + 1])
+        return rules[: k + 1], block
+
+    def lift(z):
+        x = z[:, :r] @ basis.T
         x += c
         return x
 
-    return advance
+    return advance, lift
 
 
 def solve_single(
@@ -366,6 +407,6 @@ def _solve(s, b, starts, blocks, cfg, keep_iterates) -> IterationTrace:
     b = as_vector(b, length=m)
     start = [np.zeros(n) if x is None else as_vector(x, length=n) for x in starts]
     a_pinv, u_pinv = s.pinvs(cfg)
-    advance = _advance(blocks, s.rowspace(cfg), u_pinv @ b, start)
+    advance, lift = _advance(blocks, s.rowspace(cfg), u_pinv @ b, start)
     x0_flag = _in_nullspace(s.v, start[0], cfg)
-    return _iterate(advance, start, a_pinv @ b, len(start), x0_flag, cfg, keep_iterates)
+    return _iterate(advance, lift, start, a_pinv @ b, len(start), x0_flag, cfg, keep_iterates)

@@ -253,8 +253,8 @@ class TestOverflowingStart:
 # The solver loop as it was before it took one step norm and one iterate norm
 # per iteration: three np.linalg.norm calls and an np.isfinite pass per step,
 # and the tail guard as a class.  Kept verbatim as the oracle whose stop rules
-# the current loop must match bit for bit, on the rows the solver computed
-# (see _replayed), and whose full-coordinate recursion the solver's own
+# the current loop must match bit for bit, on the rows the solver's stop rules
+# read (see _replayed), and whose full-coordinate recursion the solver's own
 # arithmetic must match to rounding (see TestRestrictedArithmetic).
 
 def _reference_in_nullspace(v_mat, x, cfg):
@@ -331,21 +331,18 @@ def _reference_iterate(update, start, reference, need_small, x0_flag, cfg) -> It
     )
 
 
-def _reference_solve_single(s, b, x0, cfg, rows=None):
-    """The reference loop on the recursion ``x_{i+1} = U^+V x_i + U^+b``, or,
-    given ``rows``, on those rows replayed in order."""
+def _reference_solve_single(s, b, x0, cfg):
+    """The reference loop on the recursion ``x_{i+1} = U^+V x_i + U^+b``."""
     x = np.zeros(s.a.shape[1]) if x0 is None else np.array(x0, dtype=float)
     a_pinv, u_pinv = s.pinvs(cfg)
     h = s.block(cfg)
     c = u_pinv @ b
     x0_flag = _reference_in_nullspace(s.v, x, cfg)
-    update = (lambda xs: h @ xs[-1] + c) if rows is None else _replay(rows)
-    return _reference_iterate(update, [x], a_pinv @ b, 1, x0_flag, cfg)
+    return _reference_iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
 
 
-def _reference_solve_double(d, b, x0, x1, cfg, rows=None):
-    """The reference loop on the two-step recursion, or, given ``rows``, on
-    those rows replayed in order."""
+def _reference_solve_double(d, b, x0, x1, cfg):
+    """The reference loop on the two-step recursion."""
     n = d.a.shape[1]
     x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     x_curr = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
@@ -353,8 +350,9 @@ def _reference_solve_double(d, b, x0, x1, cfg, rows=None):
     pr, ps = d.blocks(cfg)
     pb = p_pinv @ b
     x0_flag = _reference_in_nullspace(induced_single(d).v, x_prev, cfg)
-    update = (lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb) if rows is None else _replay(rows)
-    return _reference_iterate(update, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg)
+    return _reference_iterate(
+        lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
+    )
 
 
 def _replay(rows):
@@ -362,42 +360,60 @@ def _replay(rows):
     return lambda xs: next(it)
 
 
+def _reference_on_rules(split, x0, rules, h, reference, cfg):
+    """The reference loop on the rows a solve's stop rules read (see
+    :func:`_replayed`): ``rules[0]`` stands for the last start and the rest
+    are replayed in order, against ``reference`` in the same coordinates."""
+    v = (induced_single(split) if isinstance(split, ProperDoubleSplitting) else split).v
+    x = np.zeros(split.a.shape[1]) if x0 is None else np.array(x0, dtype=float)
+    x0_flag = _reference_in_nullspace(v, x, cfg)
+    return _reference_iterate(_replay(rules[1:]), [rules[0]] * h, reference, h, x0_flag, cfg)
+
+
 def _replayed(solve, *args, **kwargs):
-    """``(trace, rows)``: ``solve(*args, keep_iterates=True, **kwargs)``'s
-    trace and every row its loop computed, in order, those past the stop
-    included.
+    """``(trace, rules, xs)``: ``solve(*args, keep_iterates=True, **kwargs)``'s
+    trace, the rows its stop rules read, the row that stands for the last
+    start first, and every row its loop computed, lifted to full coordinates,
+    in order, those past the stop included.
 
     ``solvers._iterate`` is wrapped so that each block its ``advance``
     returns is recorded.  The rows are taken from the solver rather than
-    recomputed: a gemm can round a row differently with the number of rows
-    it is given, so the lift of one row alone need not repeat the bits of
-    the same row lifted in a block."""
-    rows = []
+    recomputed: the rules' rows are the solver's own, and a gemm can round a
+    row differently with the number of rows it is given, so that a row
+    lifted alone need not repeat the bits of the same row lifted in a
+    block."""
+    rules, xs = [], []
     real = solvers._iterate
 
-    def recording(advance, *rest):
+    def recording(advance, lift, *rest):
         def recorded(k):
-            block = advance(k)
-            rows.extend(block.copy())
-            return block
+            block_rules, block = advance(k)
+            rules.extend(block_rules[1 if rules else 0 :].copy())
+            xs.extend(lift(block))
+            return block_rules, block
 
-        return real(recorded, *rest)
+        return real(recorded, lift, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_iterate", recording)
         trace = solve(*args, keep_iterates=True, **kwargs)
-    return trace, rows
+    return trace, rules, xs
 
 
-def _scripted(update, n=1):
-    """``advance`` for ``_iterate`` from ``update(row)``, which writes one
-    row of length n in place."""
+def _scripted(update, before, n=1):
+    """``advance`` for ``_iterate``, in coordinates that are the iterates'
+    own, from ``update(row)``, which writes one row of length n in place;
+    ``before`` is the last start."""
+    prev = np.array(before, dtype=float)
 
     def advance(k):
-        rows = np.empty((k, n))
-        for row in rows:
+        nonlocal prev
+        rules = np.empty((k + 1, n))
+        rules[0] = prev
+        for row in rules[1:]:
             update(row)
-        return rows
+        prev = rules[k]
+        return rules, rules[1:]
 
     return advance
 
@@ -411,6 +427,17 @@ def _trace_bits(t):
         t.limit.tobytes(),
         t.reference_solution.tobytes(),
         float(t.distance_to_reference).hex(),
+        t.diverged,
+        t.x0_in_nullspace_v,
+    )
+
+
+def _rule_bits(t):
+    """The fields of a trace that its stop rules decide, but ``converged``,
+    which also reads the distance."""
+    return (
+        [float(r).hex() for r in t.residual_history],
+        t.iterations_used,
         t.diverged,
         t.x0_in_nullspace_v,
     )
@@ -438,10 +465,11 @@ def _loop_case(shape, rho):
 
 
 class TestLoopMatchesReference:
-    """Differential: every trace field is bit-identical to the reference loop's
-    on the rows the solver computed, for convergent and divergent radii,
-    m < n and m > n, max_iter exhaustion, solve_tol = 0, and zero or random
-    starting vectors."""
+    """Differential: every trace field that the stop rules decide is
+    bit-identical to the reference loop's on the rows those rules read, and
+    the limit and distance agree to rounding, for convergent and divergent
+    radii, m < n and m > n, max_iter exhaustion, solve_tol = 0, and zero or
+    random starting vectors."""
 
     @pytest.mark.parametrize("rho", _LOOP_RHOS)
     @pytest.mark.parametrize("shape", _LOOP_SHAPES)
@@ -450,12 +478,8 @@ class TestLoopMatchesReference:
         outcomes = set()
         for cfg in _LOOP_CONFIGS.values():
             for start0, start1 in ((None, None), (x0, x1)):
-                got, rows = _replayed(solve_double, d, b, x0=start0, x1=start1, cfg=cfg)
-                want = _reference_solve_double(d, b, start0, start1, cfg, rows)
-                assert _trace_bits(got) == _trace_bits(want)
-                got, rows = _replayed(solve_single, s, b, x0=start0, cfg=cfg)
-                want = _reference_solve_single(s, b, start0, cfg, rows)
-                assert _trace_bits(got) == _trace_bits(want)
+                _rules_match(solve_double, d, b, (start0, start1), cfg)
+                got = _rules_match(solve_single, s, b, (start0,), cfg)
                 outcomes.add((got.converged, got.diverged, got.iterations_used == cfg.max_iter))
         # each case reaches at least two different stops across the configs
         assert len(outcomes) >= 2
@@ -487,30 +511,43 @@ class TestLoopMatchesReference:
         x0, x1 = rng.standard_normal(n), rng.standard_normal(n)
         for cfg in (_LOOP_CONFIGS["default"], _LOOP_CONFIGS["solve_tol=1e-6"]):
             for start0, start1 in ((None, None), (x0, x1)):
-                got, rows = _replayed(solve_double, d, b, x0=start0, x1=start1, cfg=cfg)
-                want = _reference_solve_double(d, b, start0, start1, cfg, rows)
-                assert _trace_bits(got) == _trace_bits(want)
-                got, rows = _replayed(solve_single, s, b, x0=start0, cfg=cfg)
-                want = _reference_solve_single(s, b, start0, cfg, rows)
-                assert _trace_bits(got) == _trace_bits(want)
+                _rules_match(solve_double, d, b, (start0, start1), cfg)
+                _rules_match(solve_single, s, b, (start0,), cfg)
+
+
+def _rules_match(solve, split, b, starts, cfg):
+    """``solve(split, b, *starts, cfg=cfg)``'s trace, after checking the
+    fields its stop rules decide bit for bit against the reference loop on
+    the rows those rules read, ``converged`` as that loop's step verdict and
+    the trace's own distance test, its limit against the stop row, to
+    rounding, and that it holds exactly ``iterations_used`` iterates after
+    its start, the limit last."""
+    got, rules, _ = _replayed(solve, split, b, *starts, cfg=cfg)
+    # against the row the solve stopped on, the reference loop's distance is
+    # 0, so its converged flag is its step rule's verdict
+    stop = rules[got.iterations_used]
+    want = _reference_on_rules(split, starts[0], rules, len(starts), stop, cfg)
+    assert _rule_bits(got) == _rule_bits(want)
+    a_pinv, u_pinv = split.pinvs(cfg)
+    reference = a_pinv @ b
+    near = got.distance_to_reference <= 10.0 * cfg.solve_tol * (1.0 + np.linalg.norm(reference))
+    assert got.converged == (want.converged and near)
+    assert got.reference_solution.tobytes() == reference.tobytes()
+    assert len(got.iterates) == got.iterations_used + len(starts)
+    assert got.limit is got.iterates[-1]
+    if np.isfinite(got.limit).all():
+        basis = split.rowspace(cfg)
+        bound = 1e-13 * sum(np.linalg.norm(x) for x in (got.limit, reference, u_pinv @ b))
+        assert np.linalg.norm(got.limit - basis @ stop[: basis.shape[1]]) <= bound
+    return got
 
 
 def _matches_reference(split, b, starts, cfg):
-    """The trace of ``solve_double`` (or ``solve_single``, taking ``starts[0]``),
-    after checking it bit for bit against the reference loop on the rows the
-    solver computed and checking that it holds exactly ``iterations_used``
-    iterates after its start."""
+    """:func:`_rules_match` for ``solve_double`` (or ``solve_single``,
+    taking ``starts[0]``)."""
     if isinstance(split, ProperDoubleSplitting):
-        got, rows = _replayed(solve_double, split, b, *starts, cfg=cfg)
-        want = _reference_solve_double(split, b, *starts, cfg, rows)
-        n_start = 2
-    else:
-        got, rows = _replayed(solve_single, split, b, starts[0], cfg=cfg)
-        want = _reference_solve_single(split, b, starts[0], cfg, rows)
-        n_start = 1
-    assert _trace_bits(got) == _trace_bits(want)
-    assert len(got.iterates) == got.iterations_used + n_start
-    return got
+        return _rules_match(solve_double, split, b, starts, cfg)
+    return _rules_match(solve_single, split, b, starts[:1], cfg)
 
 
 def _single(d):
@@ -529,15 +566,16 @@ def _slow_pair(seed, rho):
 
 class TestChunkBoundaries:
     """Differential, at the edges of the solver loop's blocks, which end after
-    rows 8, 16, 32 and 64 and then every ``_CHUNK`` rows: every trace field is
-    bit-identical to the reference loop's on the rows the solver computed, and
-    a trace holds ``iterations_used`` iterates after its start, for a stop at
-    ``max_iter``, on divergence and on convergence."""
+    rows 8, 16, 32, 64 and 128 and then every ``_CHUNK`` rows: every trace
+    field that the stop rules decide is bit-identical to the reference loop's
+    on the rows those rules read, and a trace holds ``iterations_used``
+    iterates after its start, for a stop at ``max_iter``, on divergence and
+    on convergence."""
 
     @pytest.mark.parametrize(
         "max_iter",
-        [_FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]
-        + [2 * _CHUNK + 3],
+        [_FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, _CHUNK // 2 - 1, _CHUNK // 2]
+        + [_CHUNK // 2 + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 3, 2 * _CHUNK + 3],
     )
     @pytest.mark.parametrize("solve_tol", [1e-10, 0.0])
     def test_max_iter_at_a_block_edge(self, max_iter, solve_tol):
@@ -549,7 +587,9 @@ class TestChunkBoundaries:
                 assert trace.iterations_used == max_iter
                 assert not (trace.converged or trace.diverged)
 
-    @pytest.mark.parametrize("at", [_FIRST_CHUNK, _FIRST_CHUNK + 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
+    @pytest.mark.parametrize(
+        "at", [_FIRST_CHUNK, _FIRST_CHUNK + 1, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK]
+    )
     def test_divergence_at_a_block_edge(self, at):
         # x_{k+1} = diag(2, 1/2) x_k from a start whose first entry is
         # 1.5e12 / 2^at: the norm passes OVERFLOW_GUARD at iteration `at`
@@ -614,8 +654,8 @@ class TestChunkBoundaries:
         start = [np.array([0.5])] * need_small
         cfg = ToleranceConfig(max_iter=len(values))
         it = iter(values)
-        advance = _scripted(lambda row: row.fill(next(it)))
-        got = _iterate(advance, start, np.zeros(1), need_small, False, cfg, True)
+        advance = _scripted(lambda row: row.fill(next(it)), start[-1])
+        got = _iterate(advance, np.array, start, np.zeros(1), need_small, False, cfg, True)
         it_ref = iter(values)
         want = _reference_iterate(
             lambda xs: np.array([next(it_ref)]), start, np.zeros(1), need_small, False, cfg
@@ -648,7 +688,8 @@ class TestChunkBoundaries:
                 row.fill(math.inf if len(calls) == k else (-1.0) ** len(calls))
 
             cfg = ToleranceConfig(solve_tol=0.0)
-            trace = _iterate(_scripted(update), [np.zeros(1)], np.zeros(1), 1, False, cfg, True)
+            advance = _scripted(update, np.zeros(1))
+            trace = _iterate(advance, np.array, [np.zeros(1)], np.zeros(1), 1, False, cfg, True)
             assert trace.diverged and trace.iterations_used == k
             assert len(trace.iterates) == k + 1
             assert len(calls) <= max(_FIRST_CHUNK, 2 * k - 2)
@@ -663,9 +704,8 @@ def _scripted_traces(values, start, need_small, cfg):
     start near 1e300 squares to Inf."""
     x0 = [np.array([start])] * need_small
     it = iter(values)
-    got = _iterate(
-        _scripted(lambda row: row.fill(next(it))), x0, np.zeros(1), need_small, False, cfg, True
-    )
+    advance = _scripted(lambda row: row.fill(next(it)), x0[-1])
+    got = _iterate(advance, np.array, x0, np.zeros(1), need_small, False, cfg, True)
     it_ref = iter(values)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _reference_iterate(
@@ -760,9 +800,10 @@ class TestBulkBooking:
     @pytest.mark.parametrize("at", [8, 16, 32, 64, 128])
     def test_first_small_step_after_bulk_blocks(self, at, need_small):
         # `at` large steps fill the blocks that end after row `at`, and the
-        # first small step is the first row of the next block
+        # first small step is the first row of the next block; the zero steps
+        # after the small ones fill that block, which computes up to _CHUNK rows
         values = _walk([1e-3 * 0.99**i for i in range(at)])
-        values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * 30, values[-1])
+        values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * _CHUNK, values[-1])
         got, want = _scripted_traces(values, 0.5, need_small, ToleranceConfig())
         assert _trace_bits(got) == _trace_bits(want)
         steps = got.residual_history
@@ -786,7 +827,7 @@ class TestNoAliasing:
 
     @pytest.mark.parametrize("double", [True, False])
     def test_traces_own_their_iterates(self, double):
-        d, s, b, starts = _slow_pair(8, 0.9)
+        d, s, b, starts = _slow_pair(8, 0.95)
         split, solve = (d, solve_double) if double else (s, solve_single)
         first = solve(split, b, *starts[: 2 if double else 1], keep_iterates=True)
         bits = _trace_bits(first)
@@ -863,12 +904,12 @@ def _follows_recursion(split, b, starts, cfg):
     recursion applied to the recorded rows before it, and that it stops as
     the full-coordinate reference loop does."""
     if isinstance(split, ProperDoubleSplitting):
-        got, rows = _replayed(solve_double, split, b, *starts, cfg=cfg)
+        got, _, rows = _replayed(solve_double, split, b, *starts, cfg=cfg)
         want = _reference_solve_double(split, b, *starts, cfg)
         blocks = split.blocks(cfg)
         signs = (1.0, -1.0)
     else:
-        got, rows = _replayed(solve_single, split, b, starts[0], cfg=cfg)
+        got, _, rows = _replayed(solve_single, split, b, starts[0], cfg=cfg)
         want = _reference_solve_single(split, b, starts[0], cfg)
         blocks = (split.block(cfg),)
         signs = (1.0,)
@@ -882,9 +923,11 @@ def _follows_recursion(split, b, starts, cfg):
         scale = sum(a * np.linalg.norm(x) for a, x in zip(scales, before)) + np.linalg.norm(c)
         assert np.linalg.norm(xs[k] - full) <= 1e-13 * scale
     assert (got.converged, got.diverged) == (want.converged, want.diverged)
-    if cfg.solve_tol == 0.0 and got.residual_history[-1] == want.residual_history[-1] == 0.0:
-        # both stopped on steps of exactly 0, a floor that rounding alone
-        # decides when to reach: the rows differ there, the limits do not
+    if cfg.solve_tol == 0.0 and got.residual_history[-1] == 0.0:
+        # the solver stopped on steps of exactly 0, a floor that rounding
+        # alone decides when to reach, and which the reference loop may reach
+        # elsewhere or not within max_iter: the rows differ there, the limits
+        # do not
         assert np.linalg.norm(got.limit - want.limit) <= 1e-13 * (1.0 + np.linalg.norm(want.limit))
     else:
         assert abs(got.iterations_used - want.iterations_used) <= 1
@@ -896,7 +939,8 @@ class TestRestrictedArithmetic:
     compute must be the full-coordinate recursion on the rows before it, to
     rounding, and the run must stop as the full-coordinate loop does, with
     ``iterations_used`` off by at most one where a step lies within rounding
-    of ``solve_tol``."""
+    of ``solve_tol``, or, where it stops on steps of exactly 0 at
+    ``solve_tol = 0``, at a limit within rounding of that loop's."""
 
     @pytest.mark.parametrize("rho", [0.5, 0.95, 0.99, 1.05, 3.0])
     @pytest.mark.parametrize("shape", [(6, 5, 3), (5, 6, 2), (12, 10, 6)])
@@ -995,6 +1039,62 @@ class TestRestrictedEdges:
             assert trace.diverged and trace.iterations_used == 1
 
 
+class TestRangeCoordinates:
+    """The stop rules read r + 1 numbers a row: each step norm they take is
+    the norm of the difference of the lifted iterates, to rounding, and a
+    solve lifts to R^n only what leaves it."""
+
+    @pytest.mark.parametrize("start", ["zero", "random", "null"])
+    @pytest.mark.parametrize("shape", [(12, 10, 6), (10, 8, 8), (6, 5, 0)], ids=["r<n", "r=n", "r=0"])
+    def test_step_norms_are_the_lifted_steps(self, shape, start):
+        # every residual_history entry is |x_k - x_{k-1}| of the kept, lifted
+        # iterates to within 8 eps (|x_k| + |x_{k-1}|); the worst seen is
+        # 0.9 eps at 50 x 40.  Starts with null-space parts of size 1e3 test
+        # the first step, which leaves a start outside range(P^+)
+        m, n, rank = shape
+        rng = default_rng(60 + rank)
+        if rank:
+            d = weak_regular_double(rng, m, n, rank, rho=0.9, nullspace_mix=0.3)
+        else:
+            zero, r = np.zeros((m, n)), rng.standard_normal((m, n))
+            d = make_pds(zero, zero, r, r)
+        assert d.rowspace().shape == (n, rank)
+        null = np.linalg.svd(d.p)[2][rank:]
+        b = rng.uniform(0.5, 1.5, m)
+        starts = {
+            "zero": (None, None),
+            "random": tuple(rng.standard_normal((2, n))),
+            "null": tuple(rng.standard_normal(n) + 1e3 * rng.standard_normal(n - rank) @ null for _ in "01"),
+        }[start]
+        eps = np.finfo(float).eps
+        for cfg in (ToleranceConfig(), ToleranceConfig(solve_tol=0.0, max_iter=400)):
+            for solve, split, xs in ((solve_double, d, starts), (solve_single, _single(d), starts[:1])):
+                trace = solve(split, b, *xs, cfg=cfg, keep_iterates=True)
+                after = trace.iterates[len(xs) - 1 :]
+                assert len(after) == len(trace.residual_history) + 1
+                for step, x_prev, x in zip(trace.residual_history, after, after[1:]):
+                    bound = 8 * eps * (np.linalg.norm(x) + np.linalg.norm(x_prev))
+                    assert abs(step - np.linalg.norm(x - x_prev)) <= bound
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_a_solve_lifts_the_limit_and_the_kept_rows_only(self, keep):
+        # a default solve lifts one row, its limit; with keep_iterates it
+        # also lifts each block's rows up to the stop
+        d, s, b, starts = _slow_pair(8, 0.95)
+        real = solvers._iterate
+        for solve, split, xs in ((solve_double, d, starts), (solve_single, s, starts[:1])):
+            lifted = []
+
+            def counting(advance, lift, *rest):
+                return real(advance, lambda z: lifted.append(len(z)) or lift(z), *rest)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "_iterate", counting)
+                trace = solve(split, b, *xs, keep_iterates=keep)
+            assert trace.converged and trace.iterations_used > 2 * _CHUNK
+            assert sum(lifted) == (trace.iterations_used + 1 if keep else 1)
+
+
 def _at_radius(scaled, rho):
     """``scaled(t)`` at the scale t > 0, bisected, where rho(W) = rho."""
     lo, hi = 0.0, 1.0
@@ -1028,9 +1128,10 @@ class TestMultiStep:
                 assert p == 1 or (p * (r + 1) - 1) * h * (r + 1) <= solvers._MAP_ENTRIES
 
     @pytest.mark.parametrize(("shape", "max_iter", "built"), [
-        ((50, 40, 20), _CHUNK, 0),  # a run of _CHUNK steps: no _CHUNK block
+        ((50, 40, 20), _CHUNK // 2, 0),
         ((50, 40, 20), 10000, 1),
         ((40, 36, 32), 10000, 0),  # p = 1 at r = 32 for the two-step scheme
+        ((50, 40, 20), _CHUNK, 0),  # a run of _CHUNK steps: no _CHUNK block
     ])
     def test_the_map_is_built_only_where_it_is_used(self, shape, max_iter, built):
         m, n, rank = shape
@@ -1057,20 +1158,20 @@ class TestMultiStep:
             assert trace.diverged and trace.iterations_used == 2
 
     def test_an_overflowing_map_steps_one_row_per_call(self):
-        # x_{k+1} = B x_k + c with B = [[0.9, 1e308], [0, 0.9]] and c = e_1:
-        # the second coordinate stays 0 and the run converges to 10 e_1 in
-        # about 200 steps, but B^2 overflows, so the 8-row map is not finite
+        # x_{k+1} = B x_k + c with B = [[0.95, 1e308], [0, 0.95]] and c = e_1:
+        # the second coordinate stays 0 and the run converges to 20 e_1 in
+        # about 500 steps, but B^2 overflows, so the 8-row map is not finite
         # and the steps stay one row per gemv
-        big = np.array([[0.9, 1e308], [0.0, 0.9]])
+        big = np.array([[0.95, 1e308], [0.0, 0.95]])
         c, zero = np.array([1.0, 0.0]), np.zeros(2)
-        advance = solvers._advance([big], np.eye(2), c, [zero])
+        advance, lift = solvers._advance([big], np.eye(2), c, [zero])
         cfg = ToleranceConfig()
-        trace = _iterate(advance, [zero], np.array([10.0, 0.0]), 1, False, cfg, True)
+        trace = _iterate(advance, lift, [zero], np.array([20.0, 0.0]), 1, False, cfg, True)
         assert trace.converged and trace.iterations_used > 2 * _CHUNK
         xs = trace.iterates
         for before, x in zip(xs, xs[1:]):
             assert x[1] == 0.0
-            assert abs(x[0] - (0.9 * before[0] + 1.0)) <= 4e-16 * 10.0
+            assert abs(x[0] - (0.95 * before[0] + 1.0)) <= 4e-16 * 20.0
 
     @pytest.mark.parametrize("rho", [0.9, 0.99, 1.05])
     def test_nonnormal_rows_follow_the_full_recursion(self, rho):
