@@ -113,19 +113,18 @@ def random_frame(
     n: int,
     rank: int,
     indicator_left: bool = False,
-    cover_left: bool = True,
     cover_right: bool = True,
 ) -> Frame:
     """Draw a nonnegative orthogonal frame.
 
     ``indicator_left=True`` makes each left vector constant on its support
-    (so the all-ones vector lies in the spanned column space when
-    ``cover_left`` holds).  Turning a cover flag off leaves some coordinates
-    outside every support, which produces zero rows or columns downstream.
+    (so the all-ones vector lies in the spanned column space).  Turning
+    ``cover_right`` off leaves some coordinates outside every right support,
+    which produces zero columns downstream.
     """
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, min(m, n)], got {rank}")
-    left_supports = _disjoint_supports(rng, m, rank, cover_left)
+    left_supports = _disjoint_supports(rng, m, rank, cover=True)
     right_supports = _disjoint_supports(rng, n, rank, cover_right)
     left = np.zeros((m, rank))
     right = np.zeros((n, rank))
@@ -230,10 +229,9 @@ def regular_double(
     rank: int,
     rho: float,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    frame: Frame | None = None,
 ) -> ProperDoubleSplitting:
     """Regular proper double splitting (R >= 0, -S >= 0) with iteration radius rho."""
-    frame = frame or random_frame(rng, m, n, rank)
+    frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
     p_pinv = frame.splitting_pinv(g)
@@ -256,10 +254,9 @@ def weak_regular_single(
     rank: int,
     rho: float,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    frame: Frame | None = None,
 ) -> ProperSplitting:
     """Weak regular proper single splitting A = U - V with rho(U^+ V) = rho."""
-    frame = frame or random_frame(rng, m, n, rank)
+    frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     u = frame.splitting_matrix(g)
     h = _projected_nonneg(rng, frame, rho)

@@ -3,7 +3,9 @@
 ``solve_single`` runs ``x_{i+1} = U^+ V x_i + U^+ b``; ``solve_double`` runs
 the two-step recursion ``x_{k+1} = P^+ R x_k - P^+ S x_{k-1} + P^+ b``.  Both
 converge to the minimum-norm least-squares solution ``A^+ b`` exactly when the
-spectral radius of the corresponding iteration matrix is below one.
+spectral radius of the corresponding iteration matrix is below one, for the
+double scheme ``W = [[P^+R, -P^+S], [I, 0]]``; the solver reads its first
+block row as the splitting owns it, ``(P^+R, P^+S)`` (see :func:`_advance`).
 
 Every block maps into ``range(P^+) = span(V_r)`` (``range(U^+)`` for the
 single scheme), so every computed iterate is ``V_r z + c`` with c the constant
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +53,9 @@ class IterationTrace:
     ``residual_history`` holds one step norm ``|x_k - x_{k-1}|`` per computed
     iterate, so its length equals ``iterations_used``; the solvers take it in
     range coordinates, where it equals the norm of the difference of the
-    lifted iterates to rounding.  ``limit`` is the last iterate (with
+    lifted iterates to rounding.  The stop is decided from
+    ``residual_history`` and the stopping row's norm alone (see
+    ``solvers._stops``).  ``limit`` is the last iterate (with
     ``keep_iterates``, ``iterates[-1]`` itself).  Every field but ``iterates``
     is the same bit for bit with or without it.  ``converged`` requires both
     the step criterion and closeness to the reference solution ``A^+ b``.
@@ -104,13 +109,27 @@ _MAP_ENTRIES = 4096
 _FLOOR = (64 * np.finfo(float).eps) ** 2
 
 
-def _push_ratio(ratios: list[float], prev_step: float, step: float) -> None:
-    """The tail guard's rate window: after a step that follows a positive,
-    finite one, append their ratio, capped at 0.9999, and keep the last
-    three ratios."""
-    if 0.0 < prev_step < math.inf:
-        ratios.append(min(step / prev_step, 0.9999))
-        del ratios[:-3]
+def _stops(residuals: list[float], norm: float, tol: float, need_small: int) -> bool:
+    """The stop rule on the step history, read at its last step, whose
+    iterate has norm ``norm``: the last ``need_small`` steps are all
+    ``<= tol`` (a NaN step counts as one), and the geometric tail
+    ``step * rate / (1 - rate)`` of the last step is below the tolerance.
+
+    ``rate`` is the largest of the last three step ratios, each
+    ``min(s_i / s_{i-1}, 0.9999)`` over the steps whose predecessor is
+    positive and finite, 0 where there is none: near the limit the
+    remaining error is about that tail, which stopping on the raw step alone
+    would leave unpaid when the rate is close to 1.  The walk back reads a
+    few entries only: a zero step admits a stop, so two zeros in a row stop
+    any run, and only a run's first step can be Inf or NaN (after a start too
+    large to square)."""
+    if len(residuals) < need_small or any(s > tol for s in residuals[-need_small:]):
+        return False
+    # the pairs (s_{i-1}, s_i) from the last step back, read lazily
+    back = zip(islice(reversed(residuals), 1, None), reversed(residuals))
+    ratios = (min(s / p, 0.9999) for p, s in back if 0.0 < p < math.inf)
+    rate = max(islice(ratios, 3), default=0.0)
+    return residuals[-1] * rate / (1.0 - rate) <= 5.0 * tol * (1.0 + norm) + tol
 
 
 def _iterate(advance, lift, start, reference, need_small, x0_flag, cfg, keep_iterates) -> IterationTrace:
@@ -137,23 +156,14 @@ def _iterate(advance, lift, start, reference, need_small, x0_flag, cfg, keep_ite
       ``advance`` included, runs with overflow and invalid-operation warnings
       off, so none is raised);
     * at ``cfg.max_iter``;
-    * or once ``need_small`` consecutive steps are <= ``cfg.solve_tol`` and the
-      geometric tail ``step * r / (1 - r)`` is itself below the tolerance.
-      The rate ``r`` is the largest of the last three step ratios (see
-      :func:`_push_ratio`): near the limit the remaining error is about that
-      tail, which stopping on the raw step alone would leave unpaid when r is
-      close to 1.
+    * or where :func:`_stops` admits a stop: ``need_small`` consecutive steps
+      <= ``cfg.solve_tol`` and a geometric tail below the tolerance.
 
-    A block in which every step is > ``cfg.solve_tol`` and every iterate norm
-    is <= ``OVERFLOW_GUARD`` has no row that can stop the run, and nearly
-    every block is such a block.  It is booked in bulk: its steps extend the
-    history, the small-step count is 0, and the rate window is rebuilt by
-    :func:`_push_ratio` from the last four steps, the step before the block
-    included.  That is the window a row-by-row pass leaves: a step > tol is
-    positive, only a run's first step can be Inf (after a start too large to
-    square), and a block of fewer than four rows is a run's last.  Any other
-    block runs the rules row by row, so the stop is the one a row-by-row loop
-    makes.
+    The history is all the state the rules keep.  A row whose step is >
+    ``cfg.solve_tol`` and whose norm is <= ``OVERFLOW_GUARD`` can stop
+    nothing, and nearly every row is such a row, so the rows before a block's
+    first other row extend the history in one call; from that row on the
+    rules run row by row.
 
     Rows computed after the stopping row are discarded.  The limit, the
     last row, is lifted on its own, so that it is the same bit for bit with
@@ -164,50 +174,31 @@ def _iterate(advance, lift, start, reference, need_small, x0_flag, cfg, keep_ite
     tol = cfg.solve_tol
     iterates = [x.copy() for x in start] if keep_iterates else None
     residuals: list[float] = []
-    ratios: list[float] = []
-    prev_step = math.inf
     step_ok = diverged = False
-    small = 0
-    left = cfg.max_iter
     with np.errstate(over="ignore", invalid="ignore"):
-        while left > 0 and not (step_ok or diverged):
-            size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, left)
+        while len(residuals) < cfg.max_iter and not (step_ok or diverged):
+            size = min(max(len(residuals), _FIRST_CHUNK), _CHUNK, cfg.max_iter - len(residuals))
             rules, rows = advance(size)
             ahead = rules[1:]
             diff = ahead - rules[:-1]
             # per row, cblas_ddot as in x.dot(x): the values np.linalg.norm gives
             steps = np.sqrt(np.vecdot(diff, diff))
             norms = np.sqrt(np.vecdot(ahead, ahead))
-            if steps.min() > tol and norms.max() <= OVERFLOW_GUARD:  # False on a NaN
-                steps = steps.tolist()
-                residuals.extend(steps)
-                recent = ([prev_step] + steps)[-4:]
-                for before, step in zip(recent, recent[1:]):
-                    _push_ratio(ratios, before, step)
-                prev_step = steps[-1]
-                small = 0
-                used = size
-            else:
-                for used, (step, norm_next) in enumerate(zip(steps.tolist(), norms.tolist()), 1):
-                    residuals.append(step)
-                    if not norm_next <= OVERFLOW_GUARD:
-                        diverged = True
-                        break
-                    _push_ratio(ratios, prev_step, step)
-                    prev_step = step
-                    if step > tol:
-                        small = 0
-                    else:
-                        small += 1
-                        rate = max(ratios, default=0.0)
-                        tail = step * rate / (1.0 - rate)
-                        if tail <= 5.0 * tol * (1.0 + norm_next) + tol and small >= need_small:
-                            step_ok = True
-                            break
+            calm = (steps > tol) & (norms <= OVERFLOW_GUARD)  # False on a NaN
+            used = size if calm.all() else int(calm.argmin())
+            residuals.extend(steps[:used].tolist())
+            for step, norm in zip(steps[used:].tolist(), norms[used:].tolist()):
+                used += 1
+                residuals.append(step)
+                if not norm <= OVERFLOW_GUARD:
+                    diverged = True
+                    break
+                if not step > tol and _stops(residuals, norm, tol, need_small):
+                    step_ok = True
+                    break
             if keep_iterates:
                 iterates.extend(lift(rows[:used]))
             last = rows[used - 1 : used]
-            left -= used
         limit = lift(last)[0]
         if keep_iterates:
             iterates[-1] = limit
@@ -256,25 +247,29 @@ def _multistep(m: np.ndarray, h: int, p: int) -> np.ndarray:
 
 def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
     """``(advance, lift)`` for :func:`_iterate`, for the recursion
-    ``x_{k+1} = B_1 x_k + ... + B_h x_{k-h+1} + c`` from the starts ``start``,
-    whose blocks ``(B_1, ..., B_h)`` map into ``range(V_r)``, V_r being
-    ``basis`` (n x r).
+    ``x_{k+1} = B_1 x_k - B_2 x_{k-1} + c`` (``B_1 x_k + c`` for one block)
+    from the starts ``start``, on the first block row of the iteration
+    matrix as the splitting owns it, ``(U^+V,)`` or ``(P^+R, P^+S)`` for
+    ``W = [[P^+R, -P^+S], [I, 0]]``; the blocks map into ``range(V_r)``, V_r
+    being ``basis`` (n x r).  The sign ``s_j`` of B_j (``s_2 = -1``) goes on
+    the r x r and r x 1 products made here, not on B_2: a product with -1.0
+    and ``x + (-y) == x - y`` are exact, so they are those of ``-B_2``.
 
     Every computed iterate is ``x = V_r z + c`` with z in R^r, and z is all
     the state a solve carries.  The z rows sit in one buffer per solve as
     ``[z, 1]``, so the last h rows are one contiguous window and a step is
     one gemv, ``z_{k+1} = M [z_{k-h+1}, 1, ..., z_k, 1]``, with the
-    r x h(r+1) ``M = [G_h, 0, ..., G_1, V_r^T sum_j B_j c]`` and
-    ``G_j = V_r^T B_j V_r``, built here, once per solve.  A block's rows
+    r x h(r+1) ``M = [G_h, 0, ..., G_1, V_r^T sum_j s_j B_j c]`` and
+    ``G_j = s_j V_r^T B_j V_r``, built here, once per solve.  A block's rows
     follow the previous block's last h rows, which it first copies to the top
     of the buffer.
 
     The starts may lie outside ``range(V_r)``, and their rows in the window
     are 0, their 1s included.  Each of the first h steps adds what M misses
-    of them, r numbers made here: ``V_r^T B_j x`` for each start x it reads,
-    less ``V_r^T B_j c`` from the second step on, where M adds that for
-    every j.  The first step so reads the starts only as the full recursion
-    does, and nothing else of the starts outlives this call.
+    of them, r numbers made here: ``s_j V_r^T B_j x`` for each start x it
+    reads, less ``s_j V_r^T B_j c`` from the second step on, where M adds
+    that for every j.  The first step so reads the starts only as the full
+    recursion does, and nothing else of the starts outlives this call.
 
     The stop rules read ``[z + V_r^T c, 0]``, a z row plus one offset: the
     norm of x and, differenced, the steps, both to rounding, on r + 1
@@ -296,19 +291,22 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
     are made once, when a block first reaches that call."""
     r, h = basis.shape[1], len(start)
     q = r + 1
+    signs = (1.0, -1.0)[:h]
     # row-major: with M column-major, whole pipeline-large solves (M 120 x 242)
     # ran 5-7% slower under OpenBLAS 0.3.31's Haswell gemv, solve-small's no faster
     m = np.zeros((r, h * q))
-    for j, b in enumerate(reversed(blocks)):
-        m[:, j * q : j * q + r] = basis.T @ (b @ basis)
-    m[:, -1] = basis.T @ sum(b @ c for b in blocks)
+    for j, b in enumerate(blocks):
+        col = (h - 1 - j) * q  # G_{j+1} reads z_{k-j}
+        m[:, col : col + r] = signs[j] * (basis.T @ (b @ basis))
+    m[:, -1] = basis.T @ sum(sign * (b @ c) for sign, b in zip(signs, blocks))
     buf = np.ones((h + _CHUNK, q))
     buf[:h] = 0.0
     rows = buf[h:, :r]  # block row i is buf[h + i]
     with np.errstate(over="ignore", invalid="ignore"):
         # step i reads start h + i - j through B_j for j > i
         fixes = [
-            basis.T @ sum(blocks[j] @ (start[h + i - j - 1] - (c if i else 0.0)) for j in range(i, h))
+            basis.T
+            @ sum(signs[j] * (blocks[j] @ (start[h + i - j - 1] - (c if i else 0.0))) for j in range(i, h))
             for i in range(h)
         ]
         offset = np.append(basis.T @ c, -1.0)
@@ -378,7 +376,7 @@ def solve_single(
 ) -> IterationTrace:
     """One-step stationary iteration for the single splitting A = U - V.
     The trace holds every iterate only with ``keep_iterates``."""
-    return _solve(s, b, [x0], [s.block(cfg)], cfg, keep_iterates)
+    return _solve(s, b, [x0], (s.block(cfg),), cfg, keep_iterates)
 
 
 def solve_double(
@@ -396,8 +394,7 @@ def solve_double(
     coincidence, so a stop needs two small steps in a row.  The trace holds
     every iterate only with ``keep_iterates``.
     """
-    pr, ps = d.blocks(cfg)
-    return _solve(d, b, [x0, x1], [pr, -ps], cfg, keep_iterates)
+    return _solve(d, b, [x0, x1], d.blocks(cfg), cfg, keep_iterates)
 
 
 def _solve(s, b, starts, blocks, cfg, keep_iterates) -> IterationTrace:

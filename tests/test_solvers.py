@@ -811,6 +811,47 @@ class TestBulkBooking:
         assert not got.diverged and at < got.iterations_used < len(values)
 
 
+@st.composite
+def _runs_through_full_blocks(draw):
+    """``(values, at, need_small)``: scripted 1-D iterates of 250-520 rows
+    whose steps are all > solve_tol but the one into row ``at``, a lone small
+    step or an exact zero in the middle of one of the full _CHUNK-row blocks
+    of rows 129-256, 257-384 and 385-512; large steps follow it, then steps
+    that halve until they round to zero, which stop the run, and zero steps
+    that fill the last block."""
+    block = draw(st.integers(1, 3))
+    at = block * _CHUNK + draw(st.integers(1, _CHUNK - 2))  # the event's 0-based row
+    end = draw(st.integers(max(250, at + 2), 520))  # the first halving step's row
+    scale = 10.0 ** draw(st.sampled_from((-3.0, -4.0, -6.0)))
+    ratio = draw(st.sampled_from((0.99, 0.999, 1.0)))
+    small = draw(st.sampled_from((0.0, 1e-17, 1e-3 * _TOL, 0.3 * _TOL, 0.9 * _TOL)))
+    steps = [scale * ratio**i for i in range(end)]
+    steps[at] = small
+    values = _walk(steps)
+    values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * _CHUNK, values[-1])
+    return values, at, draw(st.sampled_from((1, 2)))
+
+
+class TestBookingInFullBlocks:
+    """Differential, on scripted 1-D iterates: a row that can stop the run in
+    the middle of a full _CHUNK-row block, then large steps in the same
+    block; the rows before it are booked in one call and the rules run row
+    by row from it on, and every trace field stays bit-identical to the
+    reference loop's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=_runs_through_full_blocks())
+    def test_matches_the_reference_loop(self, run):
+        values, at, need_small = run
+        got, want = _scripted_traces(values, 0.5, need_small, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        steps = got.residual_history
+        assert min(steps[:at]) > _TOL >= steps[at]
+        # the stop rule ends the run, at the event or after the halving steps
+        assert not got.diverged and got.iterations_used < len(values)
+        assert got.iterations_used == at + 1 or got.iterations_used > 250
+
+
 def _block_of_each_row(rows):
     """The index of the solver block that computes each of ``rows`` rows."""
     ids, used = [], 0
@@ -887,6 +928,23 @@ class TestKeepIterates:
 class TestMemo:
     """A solve builds its step matrices for itself: the splitting's memo
     keeps only the factors its consumers share."""
+
+    def test_solves_read_the_owned_blocks(self, monkeypatch):
+        # the solver steps on W's first block row as the splitting owns it:
+        # no solve copies or negates a block
+        d, s, b, _ = _slow_pair(8, 0.9)
+        real, seen = solvers._advance, []
+
+        def recording(blocks, *rest):
+            seen.append(blocks)
+            return real(blocks, *rest)
+
+        monkeypatch.setattr(solvers, "_advance", recording)
+        solve_double(d, b)
+        solve_single(s, b)
+        (pr, ps), (h,) = seen
+        owned_pr, owned_ps = d.blocks()
+        assert pr is owned_pr and ps is owned_ps and h is s.block()
 
     @pytest.mark.parametrize("solve", [solve_double, solve_single])
     def test_a_solve_leaves_the_memo_as_it_found_it(self, solve):
