@@ -326,34 +326,6 @@ def perturbed_proper_splitting(
     return make_proper_splitting(a, a + a @ nmat, cfg)
 
 
-def _steer_branch_i(rng, p1_pinv, r1, p2_pinv, v2):
-    """Scale a convex split of v2 so that P1^+ R1 >= P2^+ R2 entrywise."""
-    theta2 = rng.uniform(0.1, 0.9, v2.shape)
-    m1 = p1_pinv @ r1
-    m2 = p2_pinv @ (v2 * theta2)
-    mask = m2 > 1e-15
-    if not np.any(mask):
-        return theta2
-    c_star = float(np.min(m1[mask] / m2[mask]))
-    if c_star <= 0.0:
-        return None
-    return theta2 * min(1.0, c_star) * rng.uniform(0.5, 0.95)
-
-
-def _steer_branch_ii(rng, p1_pinv, v1, theta1, p2_pinv, v2):
-    """Rescale d1's split so that P1^+ S1 >= P2^+ S2 entrywise."""
-    theta2 = rng.uniform(0.1, 0.9, v2.shape)
-    m2s = p2_pinv @ (v2 * (1.0 - theta2))
-    m1s = p1_pinv @ (v1 * (1.0 - theta1))
-    mask = m1s > 1e-15
-    if np.any(mask):
-        c_star = float(np.min(m2s[mask] / m1s[mask]))
-        if c_star <= 0.0:
-            return None
-        theta1 = 1.0 - (1.0 - theta1) * min(1.0, c_star) * rng.uniform(0.5, 0.95)
-    return theta1, theta2
-
-
 def _ordered_p_pair(rng, frame: Frame):
     """P1, P2 on one frame with gains g2 <= g1: P1^+ >= P2^+ >= 0 and P2 - P1 >= 0 exactly.
 
@@ -365,46 +337,51 @@ def _ordered_p_pair(rng, frame: Frame):
     return g1, frame.splitting_matrix(g1), frame.splitting_matrix(g2), p_pinvs
 
 
-def _steered_splits(rng, p_pinvs, v1, v2):
-    """Convex splits of V1 and V2 steered to branch (i) or (ii), picked by a coin.
+def _capped_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """``min(1, min num / den)`` over the entries where ``den > 1e-15``."""
+    mask = den > 1e-15
+    return min(1.0, float(np.min(num[mask] / den[mask])))
 
-    Returns ``(R1, S1, R2, S2)``, or None when the steering finds no scale.
-    """
+
+def _steered_splits(rng, p_pinvs, v1, v2):
+    """Convex splits ``(R1, S1, R2, S2)`` of V1 and V2, steered by a coin to
+    branch (i), ``P1^+ R1 >= P2^+ R2``, or branch (ii), ``P1^+ S1 >= P2^+ S2``.
+    Each caller makes ``P1^+ (V1 . theta1)`` and ``P2^+ (V2 . theta2)``
+    positive on the same entries and 0 elsewhere, so every mask of
+    :func:`_capped_ratio` is non-empty and its ratio positive."""
     p1_pinv, p2_pinv = p_pinvs
     theta1 = rng.uniform(0.1, 0.9, v1.shape)
-    if rng.uniform() < 0.5:
-        r1, s1 = _convex_split(v1, theta1)
-        theta2 = _steer_branch_i(rng, p1_pinv, r1, p2_pinv, v2)
-        if theta2 is None:
-            return None
-    else:
-        steered = _steer_branch_ii(rng, p1_pinv, v1, theta1, p2_pinv, v2)
-        if steered is None:
-            return None
-        theta1, theta2 = steered
-        r1, s1 = _convex_split(v1, theta1)
-    return (r1, s1, *_convex_split(v2, theta2))
+    branch_i = rng.uniform() < 0.5
+    theta2 = rng.uniform(0.1, 0.9, v2.shape)
+    if branch_i:  # shrink P2^+ R2 below P1^+ R1
+        ratio = _capped_ratio(p1_pinv @ (v1 * theta1), p2_pinv @ (v2 * theta2))
+        theta2 = theta2 * ratio * rng.uniform(0.5, 0.95)
+    else:  # shrink P1^+ (-S1) below P2^+ (-S2)
+        ratio = _capped_ratio(p2_pinv @ (v2 * (1.0 - theta2)), p1_pinv @ (v1 * (1.0 - theta1)))
+        theta1 = 1.0 - (1.0 - theta1) * ratio * rng.uniform(0.5, 0.95)
+    return (*_convex_split(v1, theta1), *_convex_split(v2, theta2))
 
 
 def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
-    """d1, d2 on one frame with P1^+ >= P2^+ and a steered branch condition."""
+    """d1, d2 on one frame with P1^+ >= P2^+ and a steered branch condition.
+
+    The frame covers every coordinate (left supports always, right ones
+    under ``random_frame``'s ``cover_right=True``), so
+    ``V1 = Pi_col U(0.2, 1) Pi_row``, both ``P_i^+ (V_i . theta)`` and so
+    ``rho(P1^+ V1)`` are positive.  In frame coordinates on ``range(P^+)``,
+    ``P2^+ V2 = D G1 X + (I - D)`` with ``D = diag(g2 / g1)`` in ``[1/1.8, 1]``
+    and ``rho(G1 X) = tau <= 0.9``: Collatz-Wielandt at the Perron vector of
+    ``G1 X`` gives ``rho(P2^+ V2) <= 1 - (1 - tau) min(g2 / g1) <= 0.945``.
+    """
     indicator = theorem is TheoremId.WEAK_VS_REGULAR
     frame = random_frame(rng, m, n, rank, indicator_left=indicator)
     _, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
 
     v1 = frame.col_projector() @ rng.uniform(0.2, 1.0, (m, n)) @ frame.row_projector()
-    radius = spectral_radius(p_pinvs[0] @ v1, cfg)
-    if radius <= 1e-12:
-        return None
-    v1 = v1 * (rng.uniform(0.2, 0.9) / radius)
+    v1 = v1 * (rng.uniform(0.2, 0.9) / spectral_radius(p_pinvs[0] @ v1, cfg))
     a = _frame_project(frame, p1 - v1)
     v2 = v1 + (p2 - p1)  # >= 0: p2 - p1 is a nonneg rank-one sum
-    if spectral_radius(p_pinvs[1] @ v2, cfg) > 0.98:
-        return None
-    splits = _steered_splits(rng, p_pinvs, v1, v2)
-    if splits is None:
-        return None
-    r1, s1, r2, s2 = splits
+    r1, s1, r2, s2 = _steered_splits(rng, p_pinvs, v1, v2)
 
     # weak-regular side may leave the nonnegative cone without changing W
     if theorem is TheoremId.REGULAR_VS_WEAK and rng.uniform() < 0.5:
@@ -444,7 +421,9 @@ def _blockdiag_weak_pair(rng, m, n, rank, cfg):
 
     V is block diagonal in the frame, so the ordering condition reduces to
     per-direction scalar inequalities that hold whenever the iteration radius
-    stays below one.
+    stays below one.  On the covering frame both ``P_i^+ (V_i . theta)`` are
+    positive on the diagonal blocks ``supp(u_i) x supp(u_i)`` and exactly 0
+    off them.
     """
     frame = random_frame(rng, m, n, rank)
     g1, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
@@ -453,10 +432,7 @@ def _blockdiag_weak_pair(rng, m, n, rank, cfg):
     nu = nu * (tau / np.max(g1 * nu))
     v1 = frame.rank_one_sum(nu)
     a = _frame_project(frame, p1 - v1)
-    splits = _steered_splits(rng, p_pinvs, v1, v1 + (p2 - p1))
-    if splits is None:
-        return None
-    r1, s1, r2, s2 = splits
+    r1, s1, r2, s2 = _steered_splits(rng, p_pinvs, v1, v1 + (p2 - p1))
     return make_pds(a, p1, r1, s1, cfg), make_pds(a, p2, r2, s2, cfg)
 
 
@@ -470,9 +446,12 @@ def comparison_pair(
 ) -> tuple[ProperDoubleSplitting, ProperDoubleSplitting]:
     """Draw a pair satisfying every hypothesis of the given comparison theorem.
 
-    The returned pair is re-verified through the corresponding checker; the
-    construction is retried until ``conclusion_predicted`` is true.
-    """
+    The frames give every hypothesis by construction: ``A^+ >= 0``, the
+    regular or weak regular signs, ``P P^+ >= 0``, ``P1^+ >= P2^+`` (or
+    ``P1^+ A >= P2^+ A``), the all-ones vector in ``range(A)`` and no zero
+    row in ``P2^+`` (weak-vs-regular), and a branch condition.  Every pair
+    is still re-verified through :func:`compare`, and redrawn while its
+    ``conclusion_predicted`` is false."""
     for _ in range(_MAX_TRIES):
         if theorem is TheoremId.WEAK_VS_WEAK:
             if rng.uniform() < 0.6:
@@ -481,8 +460,6 @@ def comparison_pair(
                 pair = _blockdiag_weak_pair(rng, m, n, rank, cfg)
         else:
             pair = _ordered_frame_pair(rng, theorem, m, n, rank, cfg)
-        if pair is None:
-            continue
         if compare(theorem, pair[0], pair[1], cfg).conclusion_predicted:
             return pair
     raise RuntimeError(f"could not generate a hypothesis-satisfying pair for {theorem.value}")

@@ -9,6 +9,7 @@ convergence theory.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,9 +117,13 @@ class ProperSplitting:
         exceeds what A's own SVD would not count as rank: the rank cutoff, or
         its default ``max(m, n) eps`` if that is smaller, times ``|A v_1|``,
         v_1 the first column of V_r, a lower bound on A's largest singular
-        value.  A leak up to that bound moves A^+ by no more than rounding."""
-        leak = np.linalg.norm(self.a - u_r @ (u_r.T @ self.a))
-        top = np.linalg.norm(self.a @ v_r[:, 0]) if v_r.shape[1] else 0.0
+        value.  A leak up to that bound moves A^+ by no more than rounding.
+        The residual and ``A v_1`` are first divided by the power of two at
+        ``max |A|``, which is exact, so that their squared norms stay finite."""
+        e = -math.frexp(np.max(np.abs(self.a)))[1]
+        res = self.a - u_r @ (u_r.T @ self.a)
+        leak = np.linalg.norm(np.ldexp(res, e, out=res))
+        top = np.linalg.norm(np.ldexp(self.a @ v_r[:, 0], e)) if v_r.shape[1] else 0.0
         shape = self.a.shape
         cutoff = min(_rank_cutoff(shape, cfg), _rank_cutoff(shape, DEFAULT_TOLERANCES))
         return not leak <= cutoff * top

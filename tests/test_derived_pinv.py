@@ -5,6 +5,8 @@ Differential: the derived A^+ against numpy's own pseudoinverse, U^+ against
 the gate that takes A's own SVD.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -15,10 +17,12 @@ from propersplit import (
     TheoremId,
     ToleranceConfig,
     check_projector_identities,
+    compare,
     make_pds,
     make_proper_splitting,
     max_abs_diff,
     pinv,
+    read_matrix,
     solve_double,
 )
 from propersplit.generators import (
@@ -29,6 +33,7 @@ from propersplit.generators import (
 )
 
 EPS = np.finfo(float).eps
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _svd_gate(a, u, cfg=DEFAULT_TOLERANCES):
@@ -122,6 +127,25 @@ class TestDerivedPseudoinverse:
         for _, u in _all_pairs(bundled):
             a_pinv, u_pinv = make_proper_splitting(u, u).pinvs()
             assert np.array_equal(a_pinv, u_pinv)
+
+
+def test_huge_entries_keep_the_derived_pinv():
+    """The bundled square pair times 2^600: the range test's squared norms
+    would overflow (an error under this suite's warning filter), but its
+    vectors are scaled by a power of two first, so A^+ is the unscaled one
+    times 2^-600 bit for bit and the comparison reads the same radius."""
+    mats = {k: read_matrix(DATA / f"sq_{k}.mat") for k in ("a", "p1", "r1", "s1", "p2", "r2", "s2")}
+    scale = 2.0**600
+    pairs = []
+    for c in (1.0, scale):
+        a = mats["a"] * c
+        pairs.append([make_pds(a, *(mats[f"{k}{i}"] * c for k in "prs")) for i in (1, 2)])
+    (d1, d2), (big1, big2) = pairs
+    assert np.array_equal(big1.pinvs()[0], d1.pinvs()[0] / scale)
+    want = compare(TheoremId.REGULAR_VS_WEAK, d1, d2)
+    got = compare(TheoremId.REGULAR_VS_WEAK, big1, big2)
+    assert got.rho1 == want.rho1 and got.rho2 == want.rho2
+    assert got.conclusion_observed and want.conclusion_observed
 
 
 def _rotation(basis, i, j, angle):

@@ -1,16 +1,20 @@
 """Sanity checks for the randomized instance generators themselves."""
 
 import numpy as np
+import pytest
 from numpy.random import default_rng
 
 from propersplit import (
+    DEFAULT_TOLERANCES,
     DoubleSplittingClass,
+    TheoremId,
     classify_double,
     is_nonneg,
     penrose_residuals,
     pinv,
     spectral_radius,
 )
+from propersplit import generators
 from propersplit.generators import (
     nonneg_block_pair,
     random_frame,
@@ -89,3 +93,50 @@ def test_nonneg_block_pair_radius():
     b, c = nonneg_block_pair(rng, 4, rho=0.9)
     assert is_nonneg(b) and is_nonneg(c)
     assert abs(spectral_radius(b + c) - 0.9) < 1e-10
+
+
+@pytest.fixture
+def steering(monkeypatch):
+    """Record each ``_steered_splits`` call's ``(P1^+, P2^+, V1, V2)``, and
+    check each ``_capped_ratio``: its numerator positive exactly on its mask,
+    the mask non-empty, the ratio positive."""
+    calls = []
+    steer, ratio = generators._steered_splits, generators._capped_ratio
+
+    def recording_steer(rng, p_pinvs, v1, v2):
+        calls.append((*p_pinvs, v1, v2))
+        return steer(rng, p_pinvs, v1, v2)
+
+    def checked_ratio(num, den):
+        mask = den > 1e-15
+        assert mask.any() and np.array_equal(num > 0.0, mask)
+        out = ratio(num, den)
+        assert out > 0.0
+        return out
+
+    monkeypatch.setattr(generators, "_steered_splits", recording_steer)
+    monkeypatch.setattr(generators, "_capped_ratio", checked_ratio)
+    return calls
+
+
+@pytest.mark.parametrize("m, n, rank", [(4, 5, 2), (6, 5, 3), (12, 10, 5)])
+def test_pair_builders_need_no_rejection(steering, m, n, rank):
+    """The frame pairs meet their steering and radius bounds by construction:
+    ``V1 > 0`` on the covering frame of ``_ordered_frame_pair``, and
+    ``rho(P2^+ V2) <= 1 - (1 - tau) min(g2 / g1)`` in both builders, with
+    ``tau = rho(P1^+ V1) <= 0.9`` and ``g2 / g1 >= 1 / 1.8``."""
+    cfg = DEFAULT_TOLERANCES
+    for seed in range(8):
+        rng = default_rng(seed)
+        for theorem in (TheoremId.REGULAR_VS_WEAK, TheoremId.WEAK_VS_REGULAR):
+            generators._ordered_frame_pair(rng, theorem, m, n, rank, cfg)
+            assert np.all(steering[-1][2] > 0.0)
+        generators._blockdiag_weak_pair(rng, m, n, rank, cfg)
+    assert len(steering) == 24
+    for p1_pinv, p2_pinv, v1, v2 in steering:
+        tau = spectral_radius(p1_pinv @ v1)
+        p1 = pinv(p1_pinv)
+        # P2^+ P1 = sum_i (g2_i / g1_i) u_i u_i^T: its top `rank` eigenvalues
+        ratios = np.linalg.eigvalsh(p2_pinv @ p1)[-rank:]
+        assert spectral_radius(p2_pinv @ v2) <= 1.0 - (1.0 - tau) * np.min(ratios) + 1e-12
+        assert tau <= 0.9 + 1e-12 and np.min(ratios) >= 1.0 / 1.8 - 1e-12

@@ -663,6 +663,17 @@ class TestChunkBoundaries:
         assert _trace_bits(got) == _trace_bits(want)
         assert got.iterations_used == _CHUNK + 3
 
+    @pytest.mark.parametrize("need_small", [1, 2])
+    def test_rate_window_run_converges(self, need_small):
+        # the iterates above, measured against their last value: the run
+        # stops on the zero step, at that value
+        values = [0.5 * (-1.0) ** (i + 1) for i in range(_CHUNK)]
+        values += [values[-1] + 5e-11, values[-1] + 5e-11 + 5e-13]
+        values += [values[-1]] * _CHUNK
+        got, want = _scripted_traces(values, 0.5, need_small, ToleranceConfig(max_iter=len(values)))
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.converged and got.distance_to_reference == 0.0
+
     def test_exact_fixed_point_with_zero_tolerance(self):
         # R = S = 0 (V = 0): every iterate after the first step is P^+ b, so
         # the steps are exactly 0 and a run stops with solve_tol = 0
@@ -699,17 +710,20 @@ class TestChunkBoundaries:
 def _scripted_traces(values, start, need_small, cfg):
     """``(got, want)``: the traces of ``_iterate`` and of the reference loop
     on the scripted 1-D iterates ``values``, from ``need_small`` copies of
-    the start value ``start``.  The reference runs with overflow and
+    the start value ``start``.  Both measure their distance to the last
+    scripted value, the limit of a run that ends in zero steps, so a run
+    that stops there converges.  The reference runs with overflow and
     invalid-operation warnings off, as ``_iterate`` does: the step from a
     start near 1e300 squares to Inf."""
     x0 = [np.array([start])] * need_small
+    ref = np.array([values[-1]])
     it = iter(values)
     advance = _scripted(lambda row: row.fill(next(it)), x0[-1])
-    got = _iterate(advance, np.array, x0, np.zeros(1), need_small, False, cfg, True)
+    got = _iterate(advance, np.array, x0, ref, need_small, False, cfg, True)
     it_ref = iter(values)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _reference_iterate(
-            lambda xs: np.array([next(it_ref)]), x0, np.zeros(1), need_small, False, cfg
+            lambda xs: np.array([next(it_ref)]), x0, ref, need_small, False, cfg
         )
     return got, want
 
@@ -811,6 +825,17 @@ class TestBulkBooking:
         assert not got.diverged and at < got.iterations_used < len(values)
 
 
+    @pytest.mark.parametrize("need_small", [1, 2])
+    def test_walk_converges_on_its_limit(self, need_small):
+        # the last case at row _CHUNK: the halving steps stop the run within
+        # 10 solve_tol of the last scripted value
+        values = _walk([1e-3 * 0.99**i for i in range(_CHUNK)])
+        values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * _CHUNK, values[-1])
+        got, want = _scripted_traces(values, 0.5, need_small, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.converged
+
+
 @st.composite
 def _runs_through_full_blocks(draw):
     """``(values, at, need_small)``: scripted 1-D iterates of 250-520 rows
@@ -850,6 +875,17 @@ class TestBookingInFullBlocks:
         # the stop rule ends the run, at the event or after the halving steps
         assert not got.diverged and got.iterations_used < len(values)
         assert got.iterations_used == at + 1 or got.iterations_used > 250
+
+    def test_run_past_a_lone_zero_step_converges(self):
+        # a zero step at row 200 stops nothing with need_small 2; the halving
+        # steps after row 300 stop the run within 10 solve_tol of its limit
+        steps = [1e-3 * 0.999**i for i in range(300)]
+        steps[200] = 0.0
+        values = _walk(steps)
+        values += _walk([1e-12 * 0.5**i for i in range(40)] + [0.0] * _CHUNK, values[-1])
+        got, want = _scripted_traces(values, 0.5, 2, ToleranceConfig())
+        assert _trace_bits(got) == _trace_bits(want)
+        assert got.converged and got.iterations_used > 300
 
 
 def _block_of_each_row(rows):
