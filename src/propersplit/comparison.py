@@ -1,11 +1,22 @@
-"""Hypothesis-and-conclusion checkers for the spectral radius comparison theorems.
+"""Hypothesis-and-conclusion checks for the spectral radius comparison theorems.
 
-Each checker takes two proper double splittings of the same matrix, evaluates
-every hypothesis of its theorem as an entrywise predicate with a violation
-residual, computes both companion spectral radii, and reports whether the
-conclusion ``rho(W1) <= rho(W2) < 1`` was predicted by the hypotheses and
-whether it was actually observed.  The checkers never throw on a false
-hypothesis: a report with failed verdicts is itself the product.
+The one entry point, ``compare(theorem, d1, d2, cfg, square_corollary)``,
+takes a :class:`TheoremId` and two proper double splittings of the same
+matrix, evaluates every hypothesis of that theorem as an entrywise predicate
+with a violation residual, computes both companion spectral radii, and
+reports whether the conclusion ``rho(W1) <= rho(W2) < 1`` was predicted by
+the hypotheses and whether it was actually observed.  It never throws on a
+false hypothesis: a report with failed verdicts is itself the product.  Each
+theorem asks ``A^+ >= 0``, one of two branch conditions
+(``P1^+ R1 >= P2^+ R2`` or ``P1^+ S1 >= P2^+ S2``), and:
+
+- ``REGULAR_VS_WEAK``: splitting 1 regular, splitting 2 weak regular, plus
+  ``P1 P1^+ >= 0`` and ``P1^+ >= P2^+``;
+- ``WEAK_VS_REGULAR``: splitting 1 weak regular, splitting 2 regular with
+  the all-ones vector in range(A), no zero row in ``P2^+``,
+  ``P2 P2^+ >= 0`` and ``P1^+ >= P2^+``;
+- ``WEAK_VS_WEAK``: both splittings weak regular, ordered through
+  ``P1^+ A >= P2^+ A``.
 
 ``square_corollary=True`` requires a square nonsingular A, whose inverses
 the splittings already hold.  Where the theorem orders ``P1^+ >= P2^+`` (not
@@ -33,9 +44,6 @@ __all__ = [
     "Branch",
     "HypothesisVerdict",
     "ComparisonReport",
-    "compare_regular_vs_weak",
-    "compare_weak_vs_regular",
-    "compare_weak_vs_weak",
     "compare",
 ]
 
@@ -197,34 +205,3 @@ def compare(
         conclusion_observed=observed,
         notes=tuple(notes),
     )
-
-
-def compare_regular_vs_weak(
-    d1: ProperDoubleSplitting,
-    d2: ProperDoubleSplitting,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    square_corollary: bool = False,
-) -> ComparisonReport:
-    """Splitting 1 regular, splitting 2 weak regular, plus P1 P1^+ >= 0."""
-    return compare(TheoremId.REGULAR_VS_WEAK, d1, d2, cfg, square_corollary)
-
-
-def compare_weak_vs_regular(
-    d1: ProperDoubleSplitting,
-    d2: ProperDoubleSplitting,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    square_corollary: bool = False,
-) -> ComparisonReport:
-    """Splitting 1 weak regular, splitting 2 regular with the all-ones vector
-    in range(A), no zero row in P2^+, and P2 P2^+ >= 0."""
-    return compare(TheoremId.WEAK_VS_REGULAR, d1, d2, cfg, square_corollary)
-
-
-def compare_weak_vs_weak(
-    d1: ProperDoubleSplitting,
-    d2: ProperDoubleSplitting,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    square_corollary: bool = False,
-) -> ComparisonReport:
-    """Both splittings weak regular, ordered through P1^+ A >= P2^+ A."""
-    return compare(TheoremId.WEAK_VS_WEAK, d1, d2, cfg, square_corollary)

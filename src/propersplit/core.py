@@ -32,13 +32,8 @@ __all__ = [
     "eigenvalues",
     "companion_from_blocks",
     "spectral_radius",
-    "matrix_rank",
     "nonneg_residual",
     "is_nonneg",
-    "geq",
-    "range_projector",
-    "nullspace_projector",
-    "has_zero_row",
     "max_abs_diff",
 ]
 
@@ -173,16 +168,6 @@ def penrose_residuals(a, x) -> tuple[float, float, float, float]:
         float(np.max(np.abs(ax.T - ax))),
         float(np.max(np.abs(xa.T - xa))),
     )
-
-
-def matrix_rank(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank with the same cutoff rule as :func:`pinv`."""
-    a = as_matrix(a)
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
-    return int(np.count_nonzero(s > _rank_cutoff(a.shape, cfg) * s[0]))
 
 
 def _sorted_eigenvalues(vals: np.ndarray) -> tuple[complex, ...]:
@@ -406,33 +391,6 @@ def nonneg_residual(x) -> float:
 def is_nonneg(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True iff every entry is >= -nonneg_slack."""
     return nonneg_residual(a) <= cfg.nonneg_slack
-
-
-def geq(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Entrywise ``a >= b`` up to the nonnegativity slack."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    return is_nonneg(a - b, cfg)
-
-
-def range_projector(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthogonal projector onto the column space: ``A A^+``."""
-    a = as_matrix(a)
-    return a @ pinv(a, cfg)
-
-
-def nullspace_projector(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthogonal projector onto the null space: ``I - A^+ A``."""
-    a = as_matrix(a)
-    return np.eye(a.shape[1]) - pinv(a, cfg) @ a
-
-
-def has_zero_row(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True iff some row is entirely within nonneg_slack of zero."""
-    a = as_matrix(a)
-    return bool(np.min(np.max(np.abs(a), axis=1)) <= cfg.nonneg_slack)
 
 
 def max_abs_diff(a, b) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "sign_residuals",
     "classify_double",
     "iteration_matrix",
-    "induced_single",
     "ConvergenceReport",
     "check_convergence",
 ]
@@ -121,11 +120,6 @@ def iteration_matrix(
 ) -> np.ndarray:
     """The 2n x 2n companion matrix of the two-step scheme."""
     return companion_from_blocks(*d.blocks(cfg))
-
-
-def induced_single(d: ProperDoubleSplitting) -> ProperSplitting:
-    """The single splitting U = P, V = R - S, which d is."""
-    return d
 
 
 @dataclass(frozen=True)

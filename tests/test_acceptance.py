@@ -17,8 +17,6 @@ from propersplit import (
     check_semimonotone_equivalence,
     companion_from_blocks,
     compare,
-    compare_regular_vs_weak,
-    compare_weak_vs_regular,
     is_nonneg,
     iteration_matrix,
     min_norm_lsq,
@@ -95,7 +93,7 @@ def test_criterion_2_second_example_regression(ex2, ex2_splittings):
     assert abs(rho2 - 0.8660) <= 5e-4          # its transposition is
     assert rho1 <= rho2
 
-    rep = compare_weak_vs_regular(*ex2_splittings)
+    rep = compare(TheoremId.WEAK_VS_REGULAR, *ex2_splittings)
     expected_true = {
         "e in range(A)",
         "A^+ >= 0",

@@ -23,7 +23,6 @@ from propersplit import (
     classify_double,
     compare,
     companion_from_blocks,
-    induced_single,
     iteration_matrix,
     make_pds,
     spectral_radius,
@@ -108,20 +107,18 @@ class TestDifferential:
         for d in double_cases:
             assert d.rowspace().shape[1] < d.a.shape[1]
             rep = check_convergence(d)
-            s = induced_single(d)
             assert _close(rep.rho_w, spectral_radius(iteration_matrix(d)))
-            assert _close(rep.rho_induced, spectral_radius(s.block()))
-            radius = check_semimonotone_equivalence(s).iteration_radius
-            assert _close(radius, spectral_radius(s.block()))
+            assert _close(rep.rho_induced, spectral_radius(d.block()))
+            radius = check_semimonotone_equivalence(d).iteration_radius
+            assert _close(radius, spectral_radius(d.block()))
         answered = [b for b in bracket_outcomes if b is not None]
         assert len(answered) == len(bracket_outcomes) == 3 * len(double_cases)
 
     def test_verdicts_equal_the_eigensolve_path(self, double_cases, monkeypatch):
         for d in double_cases:
-            s = induced_single(d)
-            with_bracket = check_convergence(d), check_semimonotone_equivalence(s)
+            with_bracket = check_convergence(d), check_semimonotone_equivalence(d)
             without = _without_bracket(
-                monkeypatch, lambda: (check_convergence(d), check_semimonotone_equivalence(s))
+                monkeypatch, lambda: (check_convergence(d), check_semimonotone_equivalence(d))
             )
             for got, want in zip(with_bracket, without):
                 assert got.splitting_class is want.splitting_class
@@ -151,7 +148,7 @@ class TestDifferential:
             n = d.a.shape[1]
             for blocks, full in (
                 (d.blocks(), iteration_matrix(d)),
-                ((induced_single(d).block(),), induced_single(d).block()),
+                ((d.block(),), d.block()),
             ):
                 lo, hi, _ = core._perron_bracket(blocks, core._bracket_budget(blocks, r))
                 rho = spectral_radius(full)
@@ -176,7 +173,7 @@ def test_bracket_is_widened_by_its_rounding_bound():
 def test_weak_regular_radii_take_no_eigensolve(count_eigsolves):
     d = weak_regular_double(default_rng(72), 150, 120, 60, rho=0.95, nullspace_mix=0.3)
     assert count_eigsolves(lambda: check_convergence(d)) == 0
-    assert count_eigsolves(lambda: check_semimonotone_equivalence(induced_single(d))) == 0
+    assert count_eigsolves(lambda: check_semimonotone_equivalence(d)) == 0
 
 
 class TestFallback:
@@ -189,7 +186,7 @@ class TestFallback:
         assert 0 < q.shape[1] < q.shape[0]
         rep = check_convergence(d, cfg)
         assert rep.rho_w == _restricted_eig(q, d.blocks(cfg))
-        assert rep.rho_induced == _restricted_eig(q, (induced_single(d).block(cfg),))
+        assert rep.rho_induced == _restricted_eig(q, (d.block(cfg),))
 
     def test_proper_double_only_blocks(self):
         # R -> R - cP and S -> S - cP keep A and U^+V = P^+(R - S) and shift
@@ -219,7 +216,7 @@ class TestFallback:
         q = d.rowspace()
         pr, ps = d.blocks()
         rho_w = spectral_radius(iteration_matrix(d))
-        m = induced_single(d).block()
+        m = d.block()
         for blocks in ((pr / rho_w, ps / rho_w**2), (m / spectral_radius(m),)):
             lo, hi, _ = core._perron_bracket(blocks, core._bracket_budget(blocks, 50))
             assert lo <= 1.0 <= hi
@@ -294,7 +291,7 @@ class TestFullRank:
         got = check_convergence(d)
         assert len(bracket_outcomes) == 4 and None not in bracket_outcomes
         assert _close(got.rho_w, spectral_radius(iteration_matrix(d)))
-        assert _close(got.rho_induced, spectral_radius(induced_single(d).block()))
+        assert _close(got.rho_induced, spectral_radius(d.block()))
         want = _without_bracket(monkeypatch, lambda: check_convergence(d))
         assert got.splitting_class is want.splitting_class
         assert got.converges == want.converges

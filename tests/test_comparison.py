@@ -10,9 +10,6 @@ from propersplit import (
     NotInvertibleError,
     TheoremId,
     compare,
-    compare_regular_vs_weak,
-    compare_weak_vs_regular,
-    compare_weak_vs_weak,
     companion_from_blocks,
     eigenvalues,
     iteration_matrix,
@@ -34,13 +31,13 @@ def verdict(report, label):
 
 class TestRegularVsWeak:
     def test_identity_equality(self):
-        rep = compare_regular_vs_weak(*identity_pair())
+        rep = compare(TheoremId.REGULAR_VS_WEAK, *identity_pair())
         assert rep.conclusion_predicted and rep.conclusion_observed
         assert rep.branch_used is Branch.BOTH
         assert rep.rho1 == rep.rho2 == 0.5
 
     def test_first_example_converse_failure(self, ex1, ex1_splittings):
-        rep = compare_regular_vs_weak(*ex1_splittings)
+        rep = compare(TheoremId.REGULAR_VS_WEAK, *ex1_splittings)
         assert abs(rep.rho1 - ex1.rho_w1) < 5e-4
         assert abs(rep.rho2 - ex1.rho_w2) < 5e-4
         assert rep.conclusion_observed
@@ -56,18 +53,18 @@ class TestRegularVsWeak:
         rng = default_rng(51)
         for _ in range(15):
             d1, d2 = comparison_pair(rng, TheoremId.REGULAR_VS_WEAK, 4, 5, 2, cfg)
-            rep = compare_regular_vs_weak(d1, d2, cfg)
+            rep = compare(TheoremId.REGULAR_VS_WEAK, d1, d2, cfg)
             assert rep.conclusion_predicted
             assert rep.conclusion_observed, (rep.rho1, rep.rho2)
 
 
 class TestWeakVsRegular:
     def test_identity_equality(self):
-        rep = compare_weak_vs_regular(*identity_pair())
+        rep = compare(TheoremId.WEAK_VS_REGULAR, *identity_pair())
         assert rep.conclusion_predicted and rep.conclusion_observed
 
     def test_second_example_all_hypotheses(self, ex2, ex2_splittings):
-        rep = compare_weak_vs_regular(*ex2_splittings)
+        rep = compare(TheoremId.WEAK_VS_REGULAR, *ex2_splittings)
         for label in (
             "e in range(A)",
             "A^+ >= 0",
@@ -84,13 +81,21 @@ class TestWeakVsRegular:
         assert abs(rep.rho1 - ex2.rho_w1) < 1e-9
         assert abs(rep.rho2 - ex2.rho_w2) < 1e-9
 
-    def test_zero_row_violation_only(self):
+    def test_zero_row_violation_only(self, ex1_splittings, ex2_splittings):
         # d2's pseudoinverse has a zero row; every other hypothesis holds
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         d1 = make_pds(a, 1.5 * a, 0.5 * a, np.zeros_like(a))
         d2 = make_pds(a, 2.0 * a, a, np.zeros_like(a))
-        rep = compare_weak_vs_regular(d1, d2)
+        rep = compare(TheoremId.WEAK_VS_REGULAR, d1, d2)
         assert not verdict(rep, "P2^+ has no zero row").passed
+        # the residual is the smallest row maximum of P2^+: 0.0 on a zero row
+        # (ex1's first P^+ has a zero third row), positive otherwise
+        pairs = [(d1, d2), ex1_splittings[::-1], identity_pair(3), ex2_splittings]
+        for pair, passed in zip(pairs, (False, False, True, True)):
+            got = verdict(compare(TheoremId.WEAK_VS_REGULAR, *pair), "P2^+ has no zero row")
+            p2_pinv = pair[1].pinvs()[1]
+            assert got.residual == np.min(np.max(np.abs(p2_pinv), axis=1))
+            assert got.passed is passed and (got.residual == 0.0) is not passed
         failed = [v.label for v in rep.hypothesis_verdicts if not v.passed]
         assert failed == ["P2^+ has no zero row", "P1^+ R1 >= P2^+ R2"]
         assert rep.branch_used is Branch.CONDITION_II  # S1 = S2 = 0
@@ -101,19 +106,19 @@ class TestWeakVsRegular:
         rng = default_rng(52)
         for _ in range(15):
             d1, d2 = comparison_pair(rng, TheoremId.WEAK_VS_REGULAR, 5, 4, 2, cfg)
-            rep = compare_weak_vs_regular(d1, d2, cfg)
+            rep = compare(TheoremId.WEAK_VS_REGULAR, d1, d2, cfg)
             assert rep.conclusion_predicted and rep.conclusion_observed
 
 
 class TestWeakVsWeak:
     def test_identity_equality(self):
-        rep = compare_weak_vs_weak(*identity_pair())
+        rep = compare(TheoremId.WEAK_VS_WEAK, *identity_pair())
         assert rep.conclusion_predicted and rep.conclusion_observed
 
     def test_second_example(self, ex2_splittings):
         # both splittings pass the weak regular predicates; the ordering
         # P1^+ A >= P2^+ A holds because the pseudoinverses are proportional
-        rep = compare_weak_vs_weak(*ex2_splittings)
+        rep = compare(TheoremId.WEAK_VS_WEAK, *ex2_splittings)
         assert verdict(rep, "P1^+ A >= P2^+ A").passed
         assert rep.conclusion_predicted and rep.conclusion_observed
 
@@ -121,7 +126,7 @@ class TestWeakVsWeak:
         rng = default_rng(53)
         for _ in range(15):
             d1, d2 = comparison_pair(rng, TheoremId.WEAK_VS_WEAK, 4, 5, 3, cfg)
-            rep = compare_weak_vs_weak(d1, d2, cfg)
+            rep = compare(TheoremId.WEAK_VS_WEAK, d1, d2, cfg)
             assert rep.conclusion_predicted and rep.conclusion_observed
 
 
@@ -134,7 +139,7 @@ class TestSquareCorollary:
         ones = np.ones((2, 2))
         d1 = make_pds(a, 3.0 * np.eye(2), ones, np.zeros((2, 2)))
         d2 = make_pds(a, 4.0 * np.eye(2), np.eye(2), -ones)
-        rep = compare_regular_vs_weak(d1, d2, square_corollary=True)
+        rep = compare(TheoremId.REGULAR_VS_WEAK, d1, d2, square_corollary=True)
         assert rep.square_corollary
         assert verdict(rep, "R1 >= R2").passed
         assert any(n.startswith("branch (i) implied") for n in rep.notes)
@@ -143,7 +148,7 @@ class TestSquareCorollary:
         assert abs(rep.rho1 - 2.0 / 3.0) < 1e-10
 
     def test_identity_pair(self):
-        rep = compare_weak_vs_regular(*identity_pair(), square_corollary=True)
+        rep = compare(TheoremId.WEAK_VS_REGULAR, *identity_pair(), square_corollary=True)
         assert rep.conclusion_predicted and rep.conclusion_observed
 
     def test_no_classical_inverse_is_computed(self, cfg, monkeypatch):
@@ -170,27 +175,27 @@ class TestSquareCorollary:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         d = make_pds(a, a, np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(NotInvertibleError):
-            compare_regular_vs_weak(d, d, square_corollary=True)
+            compare(TheoremId.REGULAR_VS_WEAK, d, d, square_corollary=True)
 
     def test_rectangular_rejected(self, ex1_splittings):
         with pytest.raises(NotInvertibleError):
-            compare_regular_vs_weak(*ex1_splittings, square_corollary=True)
+            compare(TheoremId.REGULAR_VS_WEAK, *ex1_splittings, square_corollary=True)
 
 
 class TestReportMechanics:
     def test_different_a_rejected(self, ex1_splittings, ex2_splittings):
         with pytest.raises(DifferentAError):
-            compare_regular_vs_weak(ex1_splittings[0], ex2_splittings[0])
+            compare(TheoremId.REGULAR_VS_WEAK, ex1_splittings[0], ex2_splittings[0])
 
     def test_different_a_same_shape(self, ex1, ex1_splittings):
         other = make_pds(2.0 * ex1.a, 2.0 * ex1.p1, 2.0 * ex1.r1, 2.0 * ex1.s1)
         with pytest.raises(DifferentAError):
-            compare_regular_vs_weak(ex1_splittings[0], other)
+            compare(TheoremId.REGULAR_VS_WEAK, ex1_splittings[0], other)
 
     def test_report_symmetry(self, ex1_splittings):
         d1, d2 = ex1_splittings
-        fwd = compare_regular_vs_weak(d1, d2)
-        rev = compare_regular_vs_weak(d2, d1)
+        fwd = compare(TheoremId.REGULAR_VS_WEAK, d1, d2)
+        rev = compare(TheoremId.REGULAR_VS_WEAK, d2, d1)
         assert fwd.rho1 == rev.rho2
         assert fwd.rho2 == rev.rho1
 

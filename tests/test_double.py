@@ -19,7 +19,6 @@ from propersplit import (
     classify_single,
     compare,
     companion_from_blocks,
-    induced_single,
     is_nonneg,
     iteration_matrix,
     make_pds,
@@ -124,20 +123,19 @@ class TestIterationMatrix:
 
 class TestInducedSingle:
     def test_trivial(self):
-        s = induced_single(identity_pds())
+        s = identity_pds()
         assert np.array_equal(s.v, np.zeros((2, 2)))
 
     def test_first_example(self, ex1, ex1_splittings):
-        s = induced_single(ex1_splittings[0])
+        s = ex1_splittings[0]
         assert np.array_equal(s.v, np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
 
     def test_second_example(self, ex2, ex2_splittings):
-        s = induced_single(ex2_splittings[0])
+        s = ex2_splittings[0]
         assert np.array_equal(s.v, np.array([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
 
     def test_is_the_double_splitting_itself(self, ex1_splittings):
         d = ex1_splittings[0]
-        assert induced_single(d) is d
         assert d.p is d.u and np.array_equal(d.v, d.r - d.s)
         assert not d.v.flags.writeable
 
@@ -201,9 +199,8 @@ class TestOwnedPseudoinverses:
             d = make_pds(g.a, g.p, g.r, g.s)
             check_convergence(d)
             solve_double(d, b)
-            s = induced_single(d)
-            classify_single(s)
-            solve_single(s, b)
+            classify_single(d)
+            solve_single(d, b)
 
         # one SVD, P's, during make_pds: A^+ is derived from it
         assert count_svds(pipeline) == 1
@@ -236,7 +233,7 @@ class TestOwnedPseudoinverses:
 
     def test_blocks_are_read_only(self):
         d = weak_regular_double(default_rng(17), 6, 5, 3, rho=0.8)
-        for m in (*d.blocks(), induced_single(d).block()):
+        for m in (*d.blocks(), d.block()):
             assert not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0, 0] = 1.0
@@ -245,13 +242,13 @@ class TestOwnedPseudoinverses:
         rng = default_rng(18)
         d = weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3)
         pr, ps = d.blocks()
-        uv = induced_single(d).block()
+        uv = d.block()
         check_convergence(d)
         solve_double(d, rng.uniform(0.5, 1.5, 6))
-        solve_single(induced_single(d), rng.uniform(0.5, 1.5, 6))
+        solve_single(d, rng.uniform(0.5, 1.5, 6))
         again = d.blocks()
         assert again[0] is pr and again[1] is ps
-        assert induced_single(d).block() is uv
+        assert d.block() is uv
 
     def test_companion_top_blocks_are_the_owned_blocks(self):
         d = weak_regular_double(default_rng(19), 6, 5, 3, rho=0.8, nullspace_mix=0.3)
@@ -275,13 +272,13 @@ class TestOwnedPseudoinverses:
         assert pr is not default_blocks[0] and ps is not default_blocks[1]
         assert np.array_equal(pr, p_pinv @ d.r) and np.array_equal(ps, p_pinv @ d.s)
         assert not np.array_equal(pr, default_blocks[0])
-        assert np.array_equal(induced_single(d).block(cfg), p_pinv @ (d.r - d.s))
+        assert np.array_equal(d.block(cfg), p_pinv @ (d.r - d.s))
         assert d.blocks()[0] is default_blocks[0]  # the default-cutoff blocks are kept
 
     def test_rowspace_is_read_only_and_shared_with_the_induced_splitting(self):
         d = weak_regular_double(default_rng(20), 6, 5, 3, rho=0.8, nullspace_mix=0.3)
         q = d.rowspace()
-        assert q is induced_single(d).rowspace() is d.rowspace()
+        assert q is d.rowspace()
         assert q.shape == (5, 3)
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-14)
         assert np.allclose(q @ (q.T @ d.pinvs()[1]), d.pinvs()[1], atol=1e-14)
@@ -294,7 +291,7 @@ class TestOwnedPseudoinverses:
         g = weak_regular_double(rng, 6, 5, 3, rho=0.8, nullspace_mix=0.3)
         d = make_pds(g.a, g.p, g.r, g.s)
         assert count_svds(lambda: check_convergence(d)) == 0
-        assert count_svds(lambda: check_semimonotone_equivalence(induced_single(d))) == 0
+        assert count_svds(lambda: check_semimonotone_equivalence(d)) == 0
         pair = comparison_pair(rng, TheoremId.WEAK_VS_WEAK, 6, 5, 3)
         d1, d2 = (make_pds(x.a, x.p, x.r, x.s) for x in pair)
         assert count_svds(lambda: compare(TheoremId.WEAK_VS_WEAK, d1, d2)) == 0
@@ -338,11 +335,10 @@ class TestRestrictedRadius:
         for d in _radius_cases():
             assert d.rowspace().shape[1] < d.a.shape[1]
             rep = check_convergence(d)
-            s = induced_single(d)
             assert _close(rep.rho_w, spectral_radius(iteration_matrix(d)))
-            assert _close(rep.rho_induced, spectral_radius(s.block()))
-            radius = check_semimonotone_equivalence(s).iteration_radius
-            assert _close(radius, spectral_radius(s.block()))
+            assert _close(rep.rho_induced, spectral_radius(d.block()))
+            radius = check_semimonotone_equivalence(d).iteration_radius
+            assert _close(radius, spectral_radius(d.block()))
 
     def test_single_splitting_radius_matches_the_full_block(self):
         rng = default_rng(31)
@@ -379,10 +375,9 @@ class TestRestrictedRadius:
             d = weak_regular_double(rng, 7, 5, 5, rho=rho, nullspace_mix=0.3)
             assert d.rowspace().shape == (5, 5)
             rep = check_convergence(d)
-            s = induced_single(d)
             assert rep.rho_w == spectral_radius(iteration_matrix(d))
-            assert rep.rho_induced == spectral_radius(s.block())
-            assert check_semimonotone_equivalence(s).iteration_radius == spectral_radius(s.block())
+            assert rep.rho_induced == spectral_radius(d.block())
+            assert check_semimonotone_equivalence(d).iteration_radius == spectral_radius(d.block())
 
     def test_rank_zero_splitting_has_radius_zero(self):
         zero = np.zeros((3, 2))
@@ -392,4 +387,4 @@ class TestRestrictedRadius:
         rep = check_convergence(d)
         assert rep.rho_w == rep.rho_induced == 0.0
         assert rep.converges
-        assert check_semimonotone_equivalence(induced_single(d)).iteration_radius == 0.0
+        assert check_semimonotone_equivalence(d).iteration_radius == 0.0

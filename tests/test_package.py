@@ -1,6 +1,9 @@
 """The package namespace: each module lists its public names once, and the
 package re-exports exactly those."""
 
+import re
+from pathlib import Path
+
 import propersplit
 from propersplit import comparison, core, double, errors, matrixfile, solvers, splitting
 
@@ -22,3 +25,12 @@ def test_each_name_is_the_modules_own_object():
             assert getattr(propersplit, name) is obj
             # functions and classes are defined where they are listed
             assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
+
+
+# the README's code runs as written, so it cannot name a removed function
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -15,7 +15,6 @@ from propersplit import (
     ShapeMismatchError,
     ToleranceConfig,
     check_convergence,
-    induced_single,
     iteration_matrix,
     make_pds,
     make_proper_splitting,
@@ -176,7 +175,7 @@ class TestSolveSingle:
         assert all(abs(r - 0.5) < 1e-6 for r in ratios)
 
     def test_induced_single_first_example(self, ex1, ex1_splittings):
-        s = induced_single(ex1_splittings[0])
+        s = ex1_splittings[0]
         trace = solve_single(s, [1.0, 0.0])
         assert trace.converged
         assert np.max(np.abs(trace.limit - np.array([1.0, 1.0, 0.0]))) < 1e-7
@@ -211,7 +210,7 @@ class TestOverflowingStart:
 
     @pytest.mark.parametrize("big", [1e200, 1e300])
     def test_single(self, big):
-        s = induced_single(weak_regular_double(default_rng(45), 6, 5, 3, rho=0.9))
+        s = weak_regular_double(default_rng(45), 6, 5, 3, rho=0.9)
         trace = solve_single(s, np.ones(6), x0=np.full(5, big))
         assert trace.diverged and not trace.converged
         assert trace.iterations_used == 1
@@ -236,18 +235,17 @@ class TestOverflowingStart:
         assert np.max(np.abs(d.a @ null_vec)) <= 1e-12
         trace = solve_double(d, np.ones(6), x0=big * null_vec)
         assert trace.x0_in_nullspace_v
-        assert solve_single(induced_single(d), np.ones(6), x0=big * null_vec).x0_in_nullspace_v
+        assert solve_single(d, np.ones(6), x0=big * null_vec).x0_in_nullspace_v
 
     @pytest.mark.parametrize("big", [1e150, 1e200])
     def test_large_v_times_a_large_start(self, big):
         # entries near 1e4 in V: |V x| overflows although |x| does not (1e150)
         d0 = weak_regular_double(default_rng(47), 6, 5, 3, rho=0.9)
         d = make_pds(*(1e4 * m for m in (d0.a, d0.p, d0.r, d0.s)))
-        s = induced_single(d)
         null_vec = np.linalg.svd(d0.a)[2][-1]
         for x, in_null in ((np.full(5, big), False), (big * null_vec, True)):
             assert solve_double(d, np.ones(6), x0=x).x0_in_nullspace_v is in_null
-            assert solve_single(s, np.ones(6), x0=x).x0_in_nullspace_v is in_null
+            assert solve_single(d, np.ones(6), x0=x).x0_in_nullspace_v is in_null
 
 
 # The solver loop as it was before it took one step norm and one iterate norm
@@ -349,7 +347,7 @@ def _reference_solve_double(d, b, x0, x1, cfg):
     a_pinv, p_pinv = d.pinvs(cfg)
     pr, ps = d.blocks(cfg)
     pb = p_pinv @ b
-    x0_flag = _reference_in_nullspace(induced_single(d).v, x_prev, cfg)
+    x0_flag = _reference_in_nullspace(d.v, x_prev, cfg)
     return _reference_iterate(
         lambda xs: pr @ xs[-1] - ps @ xs[-2] + pb, [x_prev, x_curr], a_pinv @ b, 2, x0_flag, cfg
     )
@@ -364,9 +362,8 @@ def _reference_on_rules(split, x0, rules, h, reference, cfg):
     """The reference loop on the rows a solve's stop rules read (see
     :func:`_replayed`): ``rules[0]`` stands for the last start and the rest
     are replayed in order, against ``reference`` in the same coordinates."""
-    v = (induced_single(split) if isinstance(split, ProperDoubleSplitting) else split).v
     x = np.zeros(split.a.shape[1]) if x0 is None else np.array(x0, dtype=float)
-    x0_flag = _reference_in_nullspace(v, x, cfg)
+    x0_flag = _reference_in_nullspace(split.v, x, cfg)
     return _reference_iterate(_replay(rules[1:]), [rules[0]] * h, reference, h, x0_flag, cfg)
 
 
@@ -455,13 +452,13 @@ _LOOP_SHAPES = [(6, 5, 3), (5, 6, 2), (12, 10, 6)]
 
 def _loop_case(shape, rho):
     """A weak regular double splitting of ``shape`` (m, n, rank) with
-    rho(W) = rho, its induced single splitting, a right-hand side and a
-    random pair of starts."""
+    rho(W) = rho, which is also its induced single splitting, a right-hand
+    side and a random pair of starts."""
     m, n, rank = shape
     rng = default_rng(int(1000 * rho) + 7 * m + n)
     d = weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3)
     b = rng.uniform(0.5, 1.5, m)
-    return d, induced_single(d), b, rng.standard_normal(n), rng.standard_normal(n)
+    return d, b, rng.standard_normal(n), rng.standard_normal(n)
 
 
 class TestLoopMatchesReference:
@@ -474,12 +471,12 @@ class TestLoopMatchesReference:
     @pytest.mark.parametrize("rho", _LOOP_RHOS)
     @pytest.mark.parametrize("shape", _LOOP_SHAPES)
     def test_bit_identical_traces(self, shape, rho):
-        d, s, b, x0, x1 = _loop_case(shape, rho)
+        d, b, x0, x1 = _loop_case(shape, rho)
         outcomes = set()
         for cfg in _LOOP_CONFIGS.values():
             for start0, start1 in ((None, None), (x0, x1)):
                 _rules_match(solve_double, d, b, (start0, start1), cfg)
-                got = _rules_match(solve_single, s, b, (start0,), cfg)
+                got = _rules_match(solve_single, d, b, (start0,), cfg)
                 outcomes.add((got.converged, got.diverged, got.iterations_used == cfg.max_iter))
         # each case reaches at least two different stops across the configs
         assert len(outcomes) >= 2
@@ -926,12 +923,12 @@ class TestKeepIterates:
     @pytest.mark.parametrize("rho", _LOOP_RHOS)
     @pytest.mark.parametrize("shape", _LOOP_SHAPES)
     def test_default_trace_equals_the_kept_trace(self, shape, rho):
-        d, s, b, x0, x1 = _loop_case(shape, rho)
+        d, b, x0, x1 = _loop_case(shape, rho)
         for cfg in _LOOP_CONFIGS.values():
             for start0, start1 in ((None, None), (x0, x1)):
                 for solve, split, starts in (
                     (solve_double, d, (start0, start1)),
-                    (solve_single, s, (start0,)),
+                    (solve_single, d, (start0,)),
                 ):
                     kept = solve(split, b, *starts, cfg=cfg, keep_iterates=True)
                     got = solve(split, b, *starts, cfg=cfg)
