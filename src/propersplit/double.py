@@ -21,7 +21,6 @@ from .core import (
     as_matrix,
     companion_from_blocks,
     is_nonneg,
-    max_abs_diff,
     nonneg_residual,
     pinv,  # noqa: F401  perfbench checks that its tracer wraps pinv here too
 )
@@ -51,9 +50,10 @@ class ProperDoubleSplitting(ProperSplitting):
     """Validated quadruple A = P - R + S with P proper over A.
 
     It is its induced single splitting ``U = P, V = R - S``, with R and S
-    kept beside it: proper-ness, ``pinvs``, ``rowspace``, ``block``,
-    ``radius`` (``rho(P^+(R - S))``) and the memo are those of that
-    splitting.  :meth:`companion_radius` is ``rho(W)``."""
+    kept beside it: proper-ness, ``pinvs``, ``rowspace``, ``radius``
+    (``rho(P^+(R - S))``) and the memo are those of that splitting, and
+    :meth:`block` is that splitting's ``U^+ V``, taken as ``P^+R - P^+S``
+    from :meth:`blocks`.  :meth:`companion_radius` is ``rho(W)``."""
 
     r: np.ndarray
     s: np.ndarray
@@ -64,9 +64,15 @@ class ProperDoubleSplitting(ProperSplitting):
         return self.u
 
     def blocks(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(P^+ R, P^+ S)``, kept beside ``block``'s ``P^+ (R - S)``."""
+        """Read-only ``(P^+ R, P^+ S)``."""
         p_pinv = self.pinvs(cfg)[1]
         return self._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
+
+    def block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Read-only ``P^+R - P^+S`` from :meth:`blocks`: one subtraction in
+        place of a third n x m x n product, equal to ``P^+ (R - S)`` up to
+        rounding."""
+        return self._owned("U^+V", cfg, lambda: (np.subtract(*self.blocks(cfg)),))[0]
 
     def companion_radius(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
         """``rho(W)`` by ``core._restricted_radius``, taken on each call."""
@@ -83,7 +89,12 @@ def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDou
         raise ShapeMismatchError(
             f"A, P, R, S must share one shape, got {a.shape}, {p.shape}, {r.shape}, {s.shape}"
         )
-    mismatch = max_abs_diff(a, p - r + s)
+    # |A - (P - R + S)| in one scratch buffer, in max_abs_diff's order
+    gap = np.subtract(p, r)
+    gap += s
+    np.subtract(a, gap, out=gap)
+    mismatch = float(np.abs(gap, out=gap).max())
+    del gap  # as large as A: not kept alive while _require_proper factors P
     if mismatch > cfg.eq_abs_tol:
         raise DecompositionMismatchError(mismatch, cfg.eq_abs_tol)
     d = ProperDoubleSplitting(a, p, as_matrix(r - s, readonly=True), r, s)

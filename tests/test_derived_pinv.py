@@ -1,8 +1,9 @@
 """A^+ derived from U's SVD (Berman & Plemmons), and the properness gate on it.
 
 Differential: the derived A^+ against numpy's own pseudoinverse, U^+ against
-``pinv(U)`` bit for bit, and every accept/reject decision against a copy of
-the gate that takes A's own SVD.
+``pinv(U)`` bit for bit, every accept/reject decision against a copy of the
+gate that takes A's own SVD, and the rank-r residual bounds against the dense
+projector residuals, both as values and as the decisions they make.
 """
 
 from pathlib import Path
@@ -26,11 +27,13 @@ from propersplit import (
     solve_double,
 )
 from propersplit.generators import (
+    _blockdiag_weak_pair,
     comparison_pair,
     perturbed_proper_splitting,
     rank_deficient_matrix,
     weak_regular_double,
 )
+from propersplit.splitting import ProperSplitting, _projector_residuals, _residual_bounds
 
 EPS = np.finfo(float).eps
 DATA = Path(__file__).resolve().parent / "data"
@@ -237,3 +240,146 @@ class TestOtherCutoff:
         b = np.array([1.0, 1e-3])
         trace = solve_double(d, b, cfg=self.cfg)
         assert np.array_equal(trace.reference_solution, pinv(self.a, self.cfg) @ b)
+
+
+def _dense_rule(a, u, cfg, v=None):
+    """The properness check decided on the dense residuals alone, the
+    reference every decision of the bounds must match: ``(kept A^+,
+    residuals, proper)``.  V is ``U - A`` unless given (a double splitting's
+    ``R - S``)."""
+    s = ProperSplitting(a, u, u - a if v is None else v)
+    a_pinv, u_pinv = s._from_u_svd(cfg)[:2]
+    if a_pinv is not None:
+        res = _projector_residuals(s, a_pinv, u_pinv)
+    if a_pinv is None or max(res) > 1e-10:
+        a_pinv = pinv(a, cfg)
+        res = _projector_residuals(s, a_pinv, u_pinv)
+    return a_pinv, res, max(res) <= cfg.eq_abs_tol
+
+
+def _gate_doubles():
+    """Double splittings for the bound gate: m > n, m < n, square P of full
+    rank (r = n) and rank-deficient, from each double generator, with both
+    members of every comparison pair."""
+    rng = default_rng(27)
+    out = []
+    for m, n, rank in [(8, 6, 3), (6, 8, 3), (6, 6, 6), (9, 7, 7), (7, 9, 7), (30, 24, 12)]:
+        out.append(weak_regular_double(rng, m, n, rank, rho=0.9, nullspace_mix=0.3))
+        out.extend(_blockdiag_weak_pair(rng, m, n, min(rank, m, n), DEFAULT_TOLERANCES))
+    for theorem in TheoremId:
+        for shape in [(6, 5, 3), (5, 6, 3), (5, 5, 5)]:
+            out.extend(comparison_pair(rng, theorem, *shape))
+    return out
+
+
+GATE_DOUBLES = _gate_doubles()
+# eq_abs_tol below 1e-10 is the README's case where the subspace check is
+# stricter than the check on the derived A^+; at 1e-14 no bound clears it
+GATE_CONFIGS = [
+    DEFAULT_TOLERANCES,
+    ToleranceConfig(eq_abs_tol=1e-12),
+    ToleranceConfig(eq_abs_tol=1e-14),
+]
+
+
+def _gate_pairs(bundled):
+    """(A, U) pairs: the gate's doubles, r = 0 (zero U and A), the bundled
+    examples, and every perturbed pair of the leak tests."""
+    pairs = [(d.a, d.p) for d in GATE_DOUBLES] + [(np.zeros((4, 3)), np.zeros((4, 3)))]
+    pairs += bundled
+    for a, u in PAIRS[:6] + bundled:
+        pairs += [(a2, u2) for size in (1e-13, 1e-11, 1e-7) for _, a2, u2 in _perturbed(a, u, size)]
+    return pairs
+
+
+class TestResidualBounds:
+    """The rank-r bounds against the dense residuals they stand in for."""
+
+    def test_bounds_cover_the_dense_residuals(self, bundled):
+        # every derived A^+, kept or not: each bound is at least its dense
+        # residual, the rounding allowance being part of the bound
+        seen = 0
+        for a, u in _gate_pairs(bundled):
+            s = ProperSplitting(a, u, u - a)
+            a_pinv, u_pinv, _, bounds = s._from_u_svd(DEFAULT_TOLERANCES)
+            if a_pinv is None:
+                continue
+            seen += 1
+            dense = _projector_residuals(s, a_pinv, u_pinv)
+            assert bounds[0] >= dense[0] and bounds[1] >= dense[1]
+        assert seen > len(GATE_DOUBLES)
+
+    def test_bounds_hold_for_any_x(self):
+        # the inequalities behind the bounds hold for any n x r X: with
+        # A = U_r diag(s) V_r^T and X = V_r / s + Z, Z orthogonal to V_r,
+        # Y T = V_r^T, so the row space residual Z T is seen only by the
+        # (X - V_r Y) T term, and the range residual A Z U_r^T = 0
+        rng = default_rng(30)
+        for m, n, r in [(9, 7, 4), (7, 9, 4), (8, 6, 5)]:
+            u_r = np.linalg.qr(rng.standard_normal((m, r)))[0]
+            v_r = np.linalg.qr(rng.standard_normal((n, r)))[0]
+            s_r = np.linspace(2.0, 1.0, r)
+            a = (u_r * s_r) @ v_r.T
+            for size in (0.0, 1e-6):
+                z = size * (np.eye(n) - v_r @ v_r.T) @ rng.standard_normal((n, r))
+                x = v_r / s_r + z
+                t = u_r.T @ a
+                bounds = _residual_bounds(a, x, t, u_r, s_r, v_r)
+                assert bounds[0] >= np.max(np.abs(a @ x @ u_r.T - u_r @ u_r.T))
+                assert bounds[1] >= np.max(np.abs(x @ t - v_r @ v_r.T))
+                assert bool(bounds.max() <= 1e-12) == (size == 0.0)
+
+    def test_generated_splittings_clear_on_their_bounds(self):
+        # the gate decides these without a dense product: their bounds clear
+        # 1e-10, are the ones construction kept, and cover the dense residuals
+        for d in GATE_DOUBLES:
+            bounds = d._from_u_svd(DEFAULT_TOLERANCES)[3]
+            assert np.array_equal(d._factors(DEFAULT_TOLERANCES)[3], bounds)
+            rep = check_projector_identities(d)
+            assert bounds.max() <= 1e-10
+            assert bounds[0] >= rep.range_residual and bounds[1] >= rep.rowspace_residual
+
+    @pytest.mark.parametrize("cfg", GATE_CONFIGS, ids=["default", "eq1e-12", "eq1e-14"])
+    def test_decisions_equal_the_dense_rule(self, bundled, cfg):
+        # proper or NotProperError with the same residuals, and the derived or
+        # A's own A^+, bit for bit; for double splittings through make_pds too
+        decided = set()
+        for a, u in _gate_pairs(bundled):
+            want_pinv, want_res, want_proper = _dense_rule(a, u, cfg)
+            decided.add(want_proper)
+            try:
+                s = make_proper_splitting(a, u, cfg)
+            except NotProperError as exc:
+                assert not want_proper
+                assert (exc.range_residual, exc.nullspace_residual) == want_res
+                continue
+            assert want_proper
+            assert np.array_equal(s.pinvs(cfg)[0], want_pinv)
+            rep = check_projector_identities(s, cfg)
+            assert (rep.range_residual, rep.rowspace_residual, rep.passed) == (*want_res, True)
+        for d in GATE_DOUBLES:
+            want_pinv, want_res, want_proper = _dense_rule(d.a, d.p, cfg, d.v)
+            try:
+                got = make_pds(d.a, d.p, d.r, d.s, cfg)
+            except NotProperError as exc:
+                assert not want_proper
+                assert (exc.range_residual, exc.nullspace_residual) == want_res
+                continue
+            assert want_proper
+            assert np.array_equal(got.pinvs(cfg)[0], want_pinv)
+        assert decided == {True, False}
+
+    def test_eq_abs_tol_below_rounding_rejects_on_the_dense_residuals(self):
+        # at eq_abs_tol = 1e-16 no bound clears, and the dense residuals reject
+        # these splittings with their own values
+        cfg = ToleranceConfig(eq_abs_tol=1e-16)
+        rejected = 0
+        for d in GATE_DOUBLES:
+            _, want_res, want_proper = _dense_rule(d.a, d.p, cfg)
+            if want_proper:
+                continue
+            rejected += 1
+            with pytest.raises(NotProperError) as exc:
+                make_proper_splitting(d.a, d.p, cfg)
+            assert (exc.value.range_residual, exc.value.nullspace_residual) == want_res
+        assert rejected

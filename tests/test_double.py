@@ -1,5 +1,8 @@
 """Tests for proper double splittings and the companion iteration matrix."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -8,12 +11,14 @@ from propersplit import (
     ConvergenceReport,
     DecompositionMismatchError,
     DoubleSplittingClass,
+    NotProperError,
     ProperDoubleSplitting,
     ProperSplitting,
     ShapeMismatchError,
     TheoremId,
     ToleranceConfig,
     check_convergence,
+    check_projector_identities,
     check_semimonotone_equivalence,
     classify_double,
     classify_single,
@@ -22,11 +27,16 @@ from propersplit import (
     is_nonneg,
     iteration_matrix,
     make_pds,
+    make_proper_splitting,
+    max_abs_diff,
     pinv,
+    read_matrix,
     solve_double,
     solve_single,
     spectral_radius,
 )
+from propersplit import splitting
+from propersplit.cli import main
 from propersplit.generators import (
     comparison_pair,
     nonneg_block_pair,
@@ -34,6 +44,8 @@ from propersplit.generators import (
     weak_regular_double,
     weak_regular_single,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def identity_pds(n=2):
@@ -58,6 +70,17 @@ class TestMakePds:
     def test_shape_mismatch(self, ex1):
         with pytest.raises(ShapeMismatchError):
             make_pds(ex1.a, ex1.p1, ex1.r1, np.zeros((3, 2)))
+
+    def test_mismatch_value_is_max_abs_diff_bit_for_bit(self):
+        # random quadruples whose rounding in P - R + S differs by order of
+        # evaluation: the reported residual is max_abs_diff(A, P - R + S)'s
+        rng = default_rng(29)
+        for _ in range(20):
+            p, r, s = (rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-3, 4) for _ in range(3))
+            a = p - r + s + rng.uniform(-1e-9, 1e-9, (7, 5))
+            with pytest.raises(DecompositionMismatchError) as exc:
+                make_pds(a, p, r, s, ToleranceConfig(eq_abs_tol=1e-300))
+            assert exc.value.residual == max_abs_diff(a, p - r + s)
 
 
 class TestClassifyDouble:
@@ -204,6 +227,54 @@ class TestOwnedPseudoinverses:
 
         # one SVD, P's, during make_pds: A^+ is derived from it
         assert count_svds(pipeline) == 1
+
+    def test_pipeline_forms_no_dense_projector_residual(self, monkeypatch, capsys):
+        # make_pds decides on the rank-r bounds; the dense residuals are formed
+        # once, on the first report that asks for them, and the CLI's
+        # classify single report carries them
+        calls = []
+        real = splitting._projector_residuals
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(splitting, "_projector_residuals", counting)
+        rng = default_rng(27)
+        g = weak_regular_double(rng, 30, 24, 12, rho=0.8, nullspace_mix=0.3)
+        d = make_pds(g.a, g.p, g.r, g.s)
+        check_convergence(d)
+        solve_double(d, rng.uniform(0.5, 1.5, 30))
+        assert not calls
+        first = check_projector_identities(d)
+        assert check_projector_identities(d) == first and first.passed
+        assert len(calls) == 1
+
+        files = [str(DATA / f"ex1_{k}.mat") for k in ("a", "p2")]
+        assert main(["classify", "single", *files, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rep = check_projector_identities(make_proper_splitting(*map(read_matrix, files)))
+        keys = ("range_residual", "rowspace_residual", "identities_pass")
+        got = [doc[f"projector_{k}"] for k in keys]
+        assert got == [rep.range_residual, rep.rowspace_residual, True]
+
+        # a rejected splitting forms them once, for its NotProperError
+        calls.clear()
+        with pytest.raises(NotProperError) as exc:
+            make_proper_splitting(np.eye(2), np.diag([1.0, 0.0]))
+        assert (exc.value.range_residual, exc.value.nullspace_residual) == (1.0, 1.0)
+        assert len(calls) == 1
+
+    def test_block_is_the_difference_of_the_blocks(self):
+        rng = default_rng(28)
+        for d in (
+            weak_regular_double(rng, 8, 6, 3, rho=0.8, nullspace_mix=0.3),
+            weak_regular_double(rng, 6, 8, 6, rho=1.05),
+            *comparison_pair(rng, TheoremId.WEAK_VS_WEAK, 6, 5, 3),
+        ):
+            assert np.array_equal(d.block(), np.subtract(*d.blocks()))
+            want = d.pinvs()[1] @ (d.r - d.s)
+            assert np.max(np.abs(d.block() - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_other_cutoff_recomputes_under_that_cutoff(self):
         # P's second singular value is 1e-5 of its first: the default cutoff
