@@ -8,10 +8,11 @@ Subcommands
     compare   regular-vs-weak | weak-vs-regular | weak-vs-weak on two
               double splittings of one matrix
 
-Exit codes: 0 report produced (verdicts may still be negative), 2 unreadable
-or malformed input, an out-of-range tolerance flag or an unwritable ``--out``
-path, 3 numerical failure, 4 invalid splitting (decomposition or subspace
-mismatch, or square-corollary mode on a singular matrix).
+Exit codes: 0 report produced (verdicts may still be negative), 2 an
+out-of-range tolerance flag, else the error's code in ``_EXIT_CODES``: 2
+unreadable or malformed input or an unwritable ``--out`` path, 3 numerical
+failure, 4 invalid splitting (decomposition or subspace mismatch, or
+square-corollary mode on a singular matrix).
 
 Output is text by default; the text report is rendered from the one JSON
 document ``--format json`` prints.  For ``spectrum``, ``classify`` and
@@ -69,10 +70,13 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_INVALID_SPLITTING = 4
 
-_THEOREMS = {
-    "regular-vs-weak": TheoremId.REGULAR_VS_WEAK,
-    "weak-vs-regular": TheoremId.WEAK_VS_REGULAR,
-    "weak-vs-weak": TheoremId.WEAK_VS_WEAK,
+_THEOREMS = {t.name.lower().replace("_", "-"): t for t in TheoremId}
+
+# error class -> exit code; main reports the first class an error is an instance of
+_EXIT_CODES = {
+    **dict.fromkeys((MatrixFormatError, NonFiniteError, ShapeMismatchError, OSError), EXIT_PARSE),
+    **dict.fromkeys((DecompositionFailure, NotSquareError), EXIT_NUMERICAL),
+    **dict.fromkeys((NotProperError, DecompositionMismatchError, DifferentAError, NotInvertibleError), EXIT_INVALID_SPLITTING),
 }
 
 
@@ -359,20 +363,9 @@ def main(argv=None) -> int:
         build, render = _COMMANDS[args.command]
         doc, inputs = build(args, cfg)
         _emit(args, doc, render, inputs)
-    except (MatrixFormatError, NonFiniteError, ShapeMismatchError, OSError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DecompositionFailure, NotSquareError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (
-        NotProperError,
-        DecompositionMismatchError,
-        DifferentAError,
-        NotInvertibleError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_SPLITTING
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     return EXIT_OK
 
 

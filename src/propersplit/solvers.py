@@ -79,20 +79,14 @@ def min_norm_lsq(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """``|V x| <= solve_tol * (1 + |x|)``.  Where ``V x`` or a squared norm
-    overflows, x and V are first divided by powers of two ``2^e`` and ``2^f``
-    at their largest entries, which is exact, so that ``|V x|`` stays finite;
-    the test is then divided by ``2^(e + f)``."""
-    tol = cfg.solve_tol
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, norm_x = np.linalg.norm(v_mat @ x), np.linalg.norm(x)
-        if math.isfinite(lhs) and math.isfinite(norm_x):
-            return bool(lhs <= tol * (1.0 + norm_x))
-        e = math.frexp(np.max(np.abs(x)))[1]
-        f = math.frexp(np.max(np.abs(v_mat)))[1]
-        y = np.ldexp(x, -e)
-        lhs = np.linalg.norm(np.ldexp(v_mat, -f) @ y)
-        return bool(lhs <= tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
+    """``|V x| <= solve_tol * (1 + |x|)`` divided by ``2^(e + f)``, the powers
+    of two (e, f >= 0) at the largest entries of x and V: exact short of
+    underflow, and ``|V x 2^-(e + f)|`` and every squared norm stay finite."""
+    e = max(math.frexp(np.max(np.abs(x)))[1], 0)
+    f = max(math.frexp(max(v_mat.max(), -v_mat.min()))[1], 0)
+    y = np.ldexp(x, -e)
+    lhs = np.linalg.norm(v_mat @ np.ldexp(y, -f))
+    return bool(lhs <= cfg.solve_tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
 
 
 # The steps run back to back into blocks of rows; the norms then run once

@@ -114,7 +114,8 @@ class ProperSplitting:
     def _from_u_svd(self, cfg: ToleranceConfig):
         """``(A^+, U^+, V_r, bounds)`` from U's SVD, A^+ and ``bounds`` None
         where A leaves U's range or K is singular, ``bounds`` otherwise
-        :func:`_residual_bounds`' pair for the derived A^+.  U's singular
+        :func:`_residual_bounds`' pair for the derived A^+.  At r = m, where
+        ``range(U)`` is all of R^m, the range test is skipped.  U's singular
         vectors die on return.
 
         A, X and ``T = U_r^T A`` enter the range test and the bounds divided,
@@ -127,7 +128,7 @@ class ProperSplitting:
         a_s = np.ldexp(self.a, e)
         t_s = u_r.T @ a_s
         a_pinv = bounds = None
-        if not _leaves_range(a_s, u_r, t_s, v_r, cfg):
+        if s_r.size == a_s.shape[0] or not _leaves_range(a_s, u_r, t_s, v_r, cfg):
             k = np.eye(s_r.size) - (u_r.T @ self.v) @ v_r / s_r
             try:
                 x = np.linalg.solve(k.T, scaled.T).T
@@ -175,7 +176,7 @@ def _leaves_range(
     the first column of V_r, a lower bound on A's largest singular value.  A
     leak up to that bound moves A^+ by no more than rounding.  ``a_s`` and
     ``t_s`` are A and T divided by the power of two at ``max |A|``, so that
-    the squared norms stay finite."""
+    the squared norms stay finite.  Skipped at r = m (see ``_from_u_svd``)."""
     res = u_r @ t_s
     leak = np.linalg.norm(np.subtract(a_s, res, out=res))
     top = np.linalg.norm(a_s @ v_r[:, 0]) if v_r.shape[1] else 0.0

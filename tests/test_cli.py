@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 import shlex
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from propersplit import cli, make_pds, solve_double, splitting
 from propersplit.cli import main
 from propersplit.comparison import TheoremId
+from propersplit.errors import DecompositionMismatchError, NotProperError
 from propersplit.generators import comparison_pair
 from propersplit.matrixfile import parse_matrix, read_matrix, write_matrix
 
@@ -616,3 +618,44 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli.build_parser() is parser
     assert in_a_row == alone
     assert [code for code, *_ in alone] == [0, 0, 0, 2, 0, 0, 0]
+
+
+def _error_of(cls):
+    args = {NotProperError: (1.0, 1.0, 1e-10), DecompositionMismatchError: (1.0, 1e-10)}
+    return cls(*args.get(cls, ("boom",)))
+
+
+@pytest.mark.parametrize("cls", list(cli._EXIT_CODES), ids=lambda c: c.__name__)
+def test_exit_code_table(cls, ex1_files, monkeypatch, capsys):
+    def build(args, cfg):
+        raise _error_of(cls)
+
+    monkeypatch.setitem(cli._COMMANDS, "pinv", (build, cli.text_pinv))
+    assert main(["pinv", ex1_files["a"]]) == cli._EXIT_CODES[cls]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("boom")])
+def test_errors_outside_the_table_propagate(exc, ex1_files, monkeypatch):
+    def build(args, cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "pinv", (build, cli.text_pinv))
+    with pytest.raises(type(exc)):
+        main(["pinv", ex1_files["a"]])
+
+
+def test_theorem_names():
+    parser = cli.build_parser()
+    compare = next(a for a in parser._actions if a.dest == "command").choices["compare"]
+    choices = next(a for a in compare._actions if a.dest == "theorem").choices
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("`compare` takes ", 1)[1].split("followed by", 1)[0]
+    assert sorted(cli._THEOREMS) == list(choices) == sorted(re.findall(r"`([a-z-]+)`", sentence))
+    assert cli._THEOREMS == {
+        "regular-vs-weak": TheoremId.REGULAR_VS_WEAK,
+        "weak-vs-regular": TheoremId.WEAK_VS_REGULAR,
+        "weak-vs-weak": TheoremId.WEAK_VS_WEAK,
+    }

@@ -26,6 +26,7 @@ from propersplit import (
     read_matrix,
     solve_double,
 )
+from propersplit import splitting
 from propersplit.generators import (
     _blockdiag_weak_pair,
     comparison_pair,
@@ -111,6 +112,52 @@ class TestNotProperPair:
             make_pds(self.a, self.u, r, np.zeros((2, 2)))
         assert exc.value.range_residual == 1.0
         assert exc.value.nullspace_residual == 1.0
+
+
+class TestFullRowRank:
+    """At r = m, ``range(U)`` is all of R^m, so the range test, whose leak
+    there is rounding alone, is skipped and the derived A^+ is kept."""
+
+    @pytest.fixture
+    def pinv_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, cfg=DEFAULT_TOLERANCES):
+            calls.append(a.shape)
+            return pinv(a, cfg)
+
+        monkeypatch.setattr(splitting, "pinv", counting)
+        return calls
+
+    def test_leak_above_the_limit_keeps_the_derived_pinv(self, pinv_calls):
+        # the leak reads 3.9e-16 against a limit of 2.5e-16
+        a = np.array([[2.0, 1.0], [0.0, 1.0]])
+        u = np.array([[3.0, 1.0], [0.0, 2.0]])
+        s = make_proper_splitting(a, u)
+        assert pinv_calls == []
+        assert np.array_equal(s.pinvs()[0], s._from_u_svd(DEFAULT_TOLERANCES)[0])
+        assert max_abs_diff(s.pinvs()[0], np.linalg.inv(a)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_random_square_splittings_take_no_svd_of_a(self, n, pinv_calls):
+        rng = default_rng(28 + n)
+        kept = 0
+        while kept < 60:
+            u = rng.uniform(-2.0, 2.0, (n, n))
+            a = u - rng.uniform(0.0, 0.5, (n, n))
+            if max(np.linalg.cond(a), np.linalg.cond(u)) > 1e3:
+                continue
+            s = make_proper_splitting(a, u)
+            assert max_abs_diff(s.pinvs()[0], np.linalg.inv(a)) <= 1e-10
+            kept += 1
+        assert pinv_calls == []
+
+    def test_rank_deficient_u_still_takes_the_range_test(self):
+        # r = 1 < m = 2: the derived A^+ = diag(1, 0) is refused
+        a_pinv, _, _, bounds = ProperSplitting(
+            np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, -1.0])
+        )._from_u_svd(DEFAULT_TOLERANCES)
+        assert a_pinv is None and bounds is None
 
 
 class TestDerivedPseudoinverse:

@@ -248,6 +248,53 @@ class TestOverflowingStart:
             assert solve_single(d, np.ones(6), x0=x).x0_in_nullspace_v is in_null
 
 
+def _nullspace_draws(rng, count):
+    """``(V, x)`` pairs: V of each rank 0 to min(m, n), entries scaled by up
+    to 1e3 either way; x zero, exactly null (on a zeroed column of V), near
+    null (a null vector of V plus a step of 1e-16 to 1 times a random one) or
+    random, times 1e-12 to 1e12."""
+    for _ in range(count):
+        m, n = rng.integers(1, 9, size=2)
+        rank = rng.integers(0, min(m, n) + 1)
+        v = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        v *= 10.0 ** rng.uniform(-3, 3)
+        kind = rng.integers(4)
+        if kind == 0:
+            x = np.zeros(n)
+        elif kind == 1:
+            v[:, 0] = 0.0
+            x = np.eye(n)[0]
+        elif kind == 2:
+            null = np.linalg.svd(v)[2][-1] if rank < n else np.zeros(n)
+            x = null + 10.0 ** rng.uniform(-16, 0) * rng.standard_normal(n)
+        else:
+            x = rng.standard_normal(n)
+        yield v, x * 10.0 ** rng.uniform(-12, 12)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-3])
+def test_in_nullspace_equals_the_unscaled_test(tol):
+    # the power-of-two scaling is exact, so wherever the plain expression is
+    # finite the decisions are the same
+    cfg = ToleranceConfig(solve_tol=tol)
+    decided = set()
+    for v, x in _nullspace_draws(default_rng(2800), 3000):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, norm_x = np.linalg.norm(v @ x), np.linalg.norm(x)
+        if not (math.isfinite(lhs) and math.isfinite(norm_x)):
+            continue
+        want = bool(lhs <= tol * (1.0 + norm_x))
+        assert solvers._in_nullspace(v, x, cfg) is want
+        decided.add(want)
+    assert decided == {True, False}
+
+
+def test_in_nullspace_of_a_subnormal_start():
+    # x is never scaled up: 2^1073 would overflow
+    x = np.full(3, 5e-324)
+    assert solvers._in_nullspace(np.zeros((2, 3)), x, ToleranceConfig(solve_tol=0.0))
+
+
 # The solver loop as it was before it took one step norm and one iterate norm
 # per iteration: three np.linalg.norm calls and an np.isfinite pass per step,
 # and the tail guard as a class.  Kept verbatim as the oracle whose stop rules
