@@ -16,6 +16,17 @@ construction instead of by rejection sampling:
 * Shrinking per-direction coefficients ``g2 <= g1`` gives a second splitting
   matrix of the same frame with ``P1^+ >= P2^+`` and ``P2 - P1 >= 0`` exactly.
 
+Every draw is built from r x r frame coefficients: with ``L`` (m x r) and
+``Rt`` (n x r) the frame's two sides, a frame-supported matrix is ``L X Rt^T``
+and is expanded once from its coefficients X.  ``Pi H0 Pi = Rt C Rt^T`` with
+``C = Rt^T H0 Rt``, and ``P^+ V = Rt diag(g) X Rt^T`` for ``V = L X Rt^T``,
+have the spectra of the r x r ``C`` and ``diag(g) X`` up to zeros, so each
+radius takes one r x r eigensolve, and no m x m or n x n projector is formed.
+Differences such as ``A = P(I - H)`` are taken on the coefficients: A is a
+small difference of order-one terms when rho nears 1, and a difference taken
+on m x n matrices would leave absolute roundoff outside the frame subspaces,
+which can read as spurious rank.
+
 Splitting V into the double-splitting terms uses entrywise convex splits
 ``R = V . theta`` and ``S = -(V . (1 - theta))``, which preserve ``R - S = V``
 exactly; adding a component supported on the orthogonal complement of
@@ -99,12 +110,24 @@ class Frame:
 
 
 def _disjoint_supports(rng, total, groups, cover):
+    """Disjoint non-empty supports of ``groups`` columns among ``total`` rows,
+    as ``(rows, cols)``: row ``rows[k]`` lies in the support of ``cols[k]``."""
     idx = rng.permutation(total)
     if not cover and total > groups:
         keep = rng.integers(groups, total)
         idx = idx[:keep]
     cuts = np.sort(rng.choice(np.arange(1, idx.size), size=groups - 1, replace=False)) if groups > 1 else np.array([], dtype=int)
-    return np.split(idx, cuts)
+    return idx, np.repeat(np.arange(groups), np.diff(cuts, prepend=0, append=idx.size))
+
+
+def _unit_columns(total, groups, supports, vals) -> np.ndarray:
+    """total x groups matrix holding ``vals`` on the supports, each column
+    scaled to unit norm."""
+    rows, cols = supports
+    out = np.zeros((total, groups))
+    norms = np.sqrt(np.bincount(cols, weights=vals * vals, minlength=groups))
+    out[rows, cols] = vals / norms[cols]
+    return out
 
 
 def random_frame(
@@ -120,27 +143,26 @@ def random_frame(
     ``indicator_left=True`` makes each left vector constant on its support
     (so the all-ones vector lies in the spanned column space).  Turning
     ``cover_right`` off leaves some coordinates outside every right support,
-    which produces zero columns downstream.
+    which produces zero columns downstream.  Each side's values come from
+    one ``uniform`` call, support after support.
     """
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, min(m, n)], got {rank}")
     left_supports = _disjoint_supports(rng, m, rank, cover=True)
     right_supports = _disjoint_supports(rng, n, rank, cover_right)
-    left = np.zeros((m, rank))
-    right = np.zeros((n, rank))
-    for i, sup in enumerate(left_supports):
-        vals = np.ones(sup.size) if indicator_left else rng.uniform(0.3, 1.3, sup.size)
-        left[sup, i] = vals / np.linalg.norm(vals)
-    for i, sup in enumerate(right_supports):
-        vals = rng.uniform(0.3, 1.3, sup.size)
-        right[sup, i] = vals / np.linalg.norm(vals)
-    return Frame(left, right)
+    left_vals = np.ones(m) if indicator_left else rng.uniform(0.3, 1.3, m)
+    right_vals = rng.uniform(0.3, 1.3, right_supports[0].size)
+    return Frame(
+        _unit_columns(m, rank, left_supports, left_vals),
+        _unit_columns(n, rank, right_supports, right_vals),
+    )
 
 
 def _radius_scale(x: np.ndarray, rho: float) -> float | None:
-    """``rho / rho(x)`` from one eigensolve of the iteration matrix x, or None
-    when ``rho(x)`` is negligible or x so scaled has an eigenvalue within 1e-8
-    of 1, where the derived ``A = U(I - x)`` would lose rank."""
+    """``rho / rho(x)`` from one eigensolve of x, an iteration matrix or its
+    r x r frame coefficients (the same spectrum but for zeros), or None when
+    ``rho(x)`` is negligible or x so scaled has an eigenvalue within 1e-8 of
+    1, where the derived ``A = U(I - x)`` would lose rank."""
     vals = np.linalg.eigvals(x)
     radius = float(np.max(np.abs(vals)))
     if radius <= 1e-12:
@@ -152,13 +174,14 @@ def _radius_scale(x: np.ndarray, rho: float) -> float | None:
 
 
 def _projected_nonneg(rng, frame: Frame, rho: float) -> np.ndarray:
-    """Nonnegative H = Pi H0 Pi with spectral radius exactly rho."""
-    proj = frame.row_projector()
+    """Frame coefficients ``C >= 0`` of ``H = Pi H0 Pi = Rt C Rt^T``, scaled
+    so that ``rho(H) = rho(C) = rho`` exactly; one r x r eigensolve a try."""
+    right = frame.right
     for _ in range(_MAX_TRIES):
-        h = proj @ rng.uniform(0.0, 1.0, (frame.n, frame.n)) @ proj
-        scale = _radius_scale(h, rho)
+        c = right.T @ rng.uniform(0.0, 1.0, (frame.n, frame.n)) @ right
+        scale = _radius_scale(c, rho)
         if scale is not None:
-            return h * scale
+            return c * scale
     raise RuntimeError("could not draw a projected nonnegative matrix")
 
 
@@ -168,21 +191,24 @@ def _convex_split(v: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndar
     return r, r - v
 
 
-def _frame_project(frame: Frame, mat: np.ndarray) -> np.ndarray:
-    """Re-project a frame-supported matrix onto the frame subspaces.
+def _expand(frame: Frame, x: np.ndarray) -> np.ndarray:
+    """``L X Rt^T``: the m x n matrix with r x r frame coefficients x."""
+    return frame.left @ x @ frame.right.T
 
-    Matrices like A = P(I - H) are tiny differences of order-one products;
-    the subtraction leaves absolute roundoff outside the frame subspaces,
-    which can read as spurious rank when A itself is small.  Sandwiching with
-    the projectors turns that into roundoff relative to A, which the rank
-    cutoff absorbs.
-    """
-    return frame.col_projector() @ mat @ frame.row_projector()
+
+def _weak_regular_parts(frame: Frame, g: np.ndarray, c: np.ndarray):
+    """``(A, P H, H)`` for ``P = L diag(1/g) Rt^T`` and ``H = Rt C Rt^T``:
+    ``P H = L diag(1/g) C Rt^T`` and ``A = P(I - H)``, each expanded from
+    its coefficients."""
+    gc = c / g[:, None]
+    h = frame.right @ c @ frame.right.T
+    return _expand(frame, np.diag(1.0 / g) - gc), _expand(frame, gc), h
 
 
 def _nullspace_shift(rng, frame: Frame, amplitude: float) -> np.ndarray:
     """A shift supported on the complement of range(A); invisible to P^+."""
-    z = (np.eye(frame.m) - frame.col_projector()) @ rng.standard_normal((frame.m, frame.n))
+    z = rng.standard_normal((frame.m, frame.n))
+    z = z - frame.left @ (frame.left.T @ z)
     peak = np.max(np.abs(z))
     if peak <= 0.0:
         return np.zeros((frame.m, frame.n))
@@ -208,12 +234,11 @@ def weak_regular_double(
     frame = frame or random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
-    h = _projected_nonneg(rng, frame, rho)
+    c = _projected_nonneg(rng, frame, rho)
     lam = rng.uniform(0.05, 0.95, (frame.n, frame.n))
-    ph = p @ h
+    a, ph, h = _weak_regular_parts(frame, g, c)
     r = p @ (h * lam)
     s = r - ph
-    a = _frame_project(frame, p - ph)
     if nullspace_mix > 0.0:
         z = _nullspace_shift(rng, frame, nullspace_mix * max(np.max(np.abs(ph)), 1e-3))
         r = r - z
@@ -234,16 +259,16 @@ def regular_double(
     frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
-    p_pinv = frame.splitting_pinv(g)
     for _ in range(_MAX_TRIES):
-        v = frame.col_projector() @ rng.uniform(0.2, 1.0, (m, n)) @ frame.row_projector()
-        scale = _radius_scale(p_pinv @ v, rho)
+        # V = Pi_col V0 Pi_row = L X Rt^T with X = L^T V0 Rt
+        x = frame.left.T @ rng.uniform(0.2, 1.0, (m, n)) @ frame.right
+        scale = _radius_scale(g[:, None] * x, rho)  # P^+ V = Rt diag(g) X Rt^T
         if scale is None:
             continue
-        v = v * scale
+        x = x * scale
         theta = rng.uniform(0.05, 0.95, (m, n))
-        r, s = _convex_split(v, theta)
-        return make_pds(_frame_project(frame, p - v), p, r, s, cfg)
+        r, s = _convex_split(_expand(frame, x), theta)
+        return make_pds(_expand(frame, np.diag(1.0 / g) - x), p, r, s, cfg)
     raise RuntimeError("could not draw a regular double splitting")
 
 
@@ -259,8 +284,8 @@ def weak_regular_single(
     frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     u = frame.splitting_matrix(g)
-    h = _projected_nonneg(rng, frame, rho)
-    return make_proper_splitting(_frame_project(frame, u - u @ h), u, cfg)
+    c = _projected_nonneg(rng, frame, rho)
+    return make_proper_splitting(_expand(frame, (np.eye(frame.rank) - c) / g[:, None]), u, cfg)
 
 
 def weak_regular_single_square(
@@ -367,19 +392,20 @@ def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
 
     The frame covers every coordinate (left supports always, right ones
     under ``random_frame``'s ``cover_right=True``), so
-    ``V1 = Pi_col U(0.2, 1) Pi_row``, both ``P_i^+ (V_i . theta)`` and so
-    ``rho(P1^+ V1)`` are positive.  In frame coordinates on ``range(P^+)``,
-    ``P2^+ V2 = D G1 X + (I - D)`` with ``D = diag(g2 / g1)`` in ``[1/1.8, 1]``
+    ``V1 = L X Rt^T`` with ``X = L^T U(0.2, 1) Rt``, both
+    ``P_i^+ (V_i . theta)`` and so ``rho(P1^+ V1)`` are positive.  In frame
+    coordinates on ``range(P^+)``, ``P2^+ V2 = D G1 X + (I - D)`` with ``D = diag(g2 / g1)`` in ``[1/1.8, 1]``
     and ``rho(G1 X) = tau <= 0.9``: Collatz-Wielandt at the Perron vector of
     ``G1 X`` gives ``rho(P2^+ V2) <= 1 - (1 - tau) min(g2 / g1) <= 0.945``.
     """
     indicator = theorem is TheoremId.WEAK_VS_REGULAR
     frame = random_frame(rng, m, n, rank, indicator_left=indicator)
-    _, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
+    g1, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
 
-    v1 = frame.col_projector() @ rng.uniform(0.2, 1.0, (m, n)) @ frame.row_projector()
-    v1 = v1 * (rng.uniform(0.2, 0.9) / spectral_radius(p_pinvs[0] @ v1, cfg))
-    a = _frame_project(frame, p1 - v1)
+    x = frame.left.T @ rng.uniform(0.2, 1.0, (m, n)) @ frame.right
+    x = x * (rng.uniform(0.2, 0.9) / spectral_radius(g1[:, None] * x, cfg))
+    v1 = _expand(frame, x)
+    a = _expand(frame, np.diag(1.0 / g1) - x)
     v2 = v1 + (p2 - p1)  # >= 0: p2 - p1 is a nonneg rank-one sum
     r1, s1, r2, s2 = _steered_splits(rng, p_pinvs, v1, v2)
 
@@ -403,11 +429,10 @@ def _shared_p_pair(rng, m, n, rank, cfg):
     frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
-    h = _projected_nonneg(rng, frame, rng.uniform(0.2, 0.9))
+    c = _projected_nonneg(rng, frame, rng.uniform(0.2, 0.9))
     lam2 = rng.uniform(0.05, 0.95, (n, n))
     lam1 = lam2 + rng.uniform(0.0, 1.0, (n, n)) * (1.0 - lam2)
-    ph = p @ h
-    a = _frame_project(frame, p - ph)
+    a, ph, h = _weak_regular_parts(frame, g, c)
     out = []
     for lam in (lam1, lam2):
         r = p @ (h * lam)
@@ -431,7 +456,7 @@ def _blockdiag_weak_pair(rng, m, n, rank, cfg):
     nu = rng.uniform(0.2, 1.0, frame.rank)
     nu = nu * (tau / np.max(g1 * nu))
     v1 = frame.rank_one_sum(nu)
-    a = _frame_project(frame, p1 - v1)
+    a = frame.rank_one_sum(1.0 / g1 - nu)
     r1, s1, r2, s2 = _steered_splits(rng, p_pinvs, v1, v1 + (p2 - p1))
     return make_pds(a, p1, r1, s1, cfg), make_pds(a, p2, r2, s2, cfg)
 

@@ -148,9 +148,10 @@ def format_matrix(a, comments=()) -> str:
         a = a.reshape(-1, 1)
     lines = [f"# {c}" for c in comments]
     lines.append(f"{a.shape[0]} {a.shape[1]}")
-    # Python floats format faster than numpy scalars; one row at a time keeps
-    # the temporaries small
-    lines.extend(" ".join([f"{x:.17g}" for x in row.tolist()]) for row in a)
+    # one %-format call per row on a per-matrix template, on Python floats;
+    # one row at a time keeps the temporaries small
+    row_format = " ".join(["%.17g"] * a.shape[1])
+    lines.extend(row_format % tuple(row.tolist()) for row in a)
     return "\n".join(lines) + "\n"
 
 

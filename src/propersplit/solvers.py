@@ -79,14 +79,24 @@ def min_norm_lsq(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 def _in_nullspace(v_mat: np.ndarray, x: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """``|V x| <= solve_tol * (1 + |x|)`` divided by ``2^(e + f)``, the powers
-    of two (e, f >= 0) at the largest entries of x and V: exact short of
-    underflow, and ``|V x 2^-(e + f)|`` and every squared norm stay finite."""
-    e = max(math.frexp(np.max(np.abs(x)))[1], 0)
-    f = max(math.frexp(max(v_mat.max(), -v_mat.min()))[1], 0)
-    y = np.ldexp(x, -e)
-    lhs = np.linalg.norm(v_mat @ np.ldexp(y, -f))
-    return bool(lhs <= cfg.solve_tol * np.ldexp(np.ldexp(1.0, -e) + np.linalg.norm(y), -f))
+    """``|V x| <= solve_tol * (1 + |x|)`` divided by ``2^(e + f + k)``, the
+    powers of two at the largest entries of x, V (f >= -1021, so
+    ``x 2^-(e + f)`` stays finite) and ``y = V x 2^-(e + f)``: exact short of
+    underflow in y, and ``|y 2^-k|`` is 0 only when y is.  The right side is
+    0 at ``solve_tol = 0``, so that case asks whether y is exactly 0; where
+    it passes the float range it is inf, above every finite left side."""
+    e = math.frexp(np.max(np.abs(x)))[1]
+    f = max(math.frexp(max(v_mat.max(), -v_mat.min()))[1], -1021)
+    x_norm = float(np.linalg.norm(np.ldexp(x, -e)))
+    y = v_mat @ np.ldexp(x, -(e + f))
+    k = math.frexp(np.max(np.abs(y)))[1]
+    lhs = np.linalg.norm(np.ldexp(y, -k))
+    tol = cfg.solve_tol
+    try:
+        rhs = math.ldexp(tol, -(e + f + k)) + math.ldexp(tol * x_norm, -(f + k))
+    except OverflowError:
+        rhs = math.inf
+    return bool(lhs <= rhs)
 
 
 # The steps run back to back into blocks of rows; the norms then run once

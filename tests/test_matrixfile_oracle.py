@@ -251,3 +251,28 @@ def test_format_is_byte_identical_on_extreme_values():
 def test_format_is_byte_identical(rows):
     a = np.array(rows)
     assert format_matrix(a) == oracle_format_matrix(a)
+
+
+def _special_values(rng, count):
+    """Random float64 bit patterns (NaN and inf included) mixed with signed
+    zeros, subnormals, the largest finite values and integers near 2^53."""
+    special = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+        np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny,
+        *(2.0**53 + k for k in range(-3, 4)), *(-(2.0**53) + k for k in range(-3, 4)),
+    ])
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64).view(float)
+    return rng.permutation(np.concatenate([bits, special, rng.standard_normal(count)]))
+
+
+@pytest.mark.parametrize("shape", [(1, 61), (61, 1), (7, 9), (3, 1), (1, 1)])
+def test_row_template_matches_the_per_value_oracle(shape):
+    rng = np.random.default_rng(2900 + shape[0] * shape[1])
+    values = _special_values(rng, 200)
+    for start in range(0, values.size - shape[0] * shape[1] + 1, shape[0] * shape[1]):
+        a = values[start : start + shape[0] * shape[1]].reshape(shape)
+        text = format_matrix(a)
+        assert text == oracle_format_matrix(a)
+        if np.isfinite(a).all():
+            got = parse_matrix(text)
+            assert np.array_equal(got.view(np.uint64), a.view(np.uint64))

@@ -295,6 +295,31 @@ def test_in_nullspace_of_a_subnormal_start():
     assert solvers._in_nullspace(np.zeros((2, 3)), x, ToleranceConfig(solve_tol=0.0))
 
 
+@pytest.mark.parametrize("tiny", [5e-324, 1e-170])
+def test_a_tiny_start_is_not_in_the_null_space_of_a_nonzero_v(tiny):
+    # |V x|^2 underflows to 0 unless x is scaled up to unit size first
+    v = np.ones((2, 3))
+    x = np.full(3, tiny)
+    assert not solvers._in_nullspace(v, x, ToleranceConfig(solve_tol=0.0))
+    # |V x| = sqrt(18) tiny sits far below 1e-10 and far above 1e-320
+    assert solvers._in_nullspace(v, x, ToleranceConfig(solve_tol=1e-10))
+    assert solvers._in_nullspace(v, x, ToleranceConfig(solve_tol=1e-320)) is (tiny == 5e-324)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300, 1e-10])
+def test_a_tiny_exact_null_vector_is_in_the_null_space(tol):
+    # powers of two make every product exact, so V x is 0 whatever the
+    # order of summation or the use of fused multiply-adds
+    v = np.array([[1.0, 1.0, 2.0], [4.0, 4.0, -1.0], [2.0**900, 2.0**900, 0.0]])
+    x = 1e-170 * np.array([1.0, -1.0, 0.0])
+    assert not np.any(v @ x)
+    assert solvers._in_nullspace(v, x, ToleranceConfig(solve_tol=tol))
+    # off the null space only through the rows of V far below its largest
+    # entry: |V x| = sqrt(5) 1e-170
+    off = x + np.array([0.0, 0.0, 1e-170])
+    assert solvers._in_nullspace(v, off, ToleranceConfig(solve_tol=tol)) is (tol == 1e-10)
+
+
 # The solver loop as it was before it took one step norm and one iterate norm
 # per iteration: three np.linalg.norm calls and an np.isfinite pass per step,
 # and the tail guard as a class.  Kept verbatim as the oracle whose stop rules
