@@ -27,6 +27,11 @@ small difference of order-one terms when rho nears 1, and a difference taken
 on m x n matrices would leave absolute roundoff outside the frame subspaces,
 which can read as spurious rank.
 
+Each draw is made once: no generator retries or redraws.  ``rho < 0``, or
+``rho`` within 1e-8 of 1 (where the derived A would lose rank), raises
+ValueError, and :func:`comparison_pair` raises RuntimeError if its one pair
+fails a hypothesis when checked through :func:`compare`.
+
 Splitting V into the double-splitting terms uses entrywise convex splits
 ``R = V . theta`` and ``S = -(V . (1 - theta))``, which preserve ``R - S = V``
 exactly; adding a component supported on the orthogonal complement of
@@ -58,8 +63,6 @@ __all__ = [
     "rank_deficient_matrix",
     "semimonotone_matrix",
 ]
-
-_MAX_TRIES = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,31 +161,26 @@ def random_frame(
     )
 
 
-def _radius_scale(x: np.ndarray, rho: float) -> float | None:
-    """``rho / rho(x)`` from one eigensolve of x, an iteration matrix or its
-    r x r frame coefficients (the same spectrum but for zeros), or None when
-    ``rho(x)`` is negligible or x so scaled has an eigenvalue within 1e-8 of
-    1, where the derived ``A = U(I - x)`` would lose rank."""
+def _radius_scale(x: np.ndarray, rho: float) -> float:
+    """``rho / rho(x)`` from one eigensolve of x, an entrywise positive
+    iteration matrix or its r x r frame coefficients (the same spectrum but
+    for zeros).  Raises ValueError for ``rho < 0`` or NaN, and where x so
+    scaled has an eigenvalue within 1e-8 of 1 (its Perron root does for rho
+    that near 1): the derived ``A = U(I - x)`` would lose rank."""
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
     vals = np.linalg.eigvals(x)
-    radius = float(np.max(np.abs(vals)))
-    if radius <= 1e-12:
-        return None
-    scale = rho / radius
+    scale = rho / float(np.max(np.abs(vals)))
     if np.min(np.abs(1.0 - vals * scale)) <= 1e-8:
-        return None
+        raise ValueError(f"rho = {rho} puts an eigenvalue within 1e-8 of 1: the derived A would lose rank")
     return scale
 
 
 def _projected_nonneg(rng, frame: Frame, rho: float) -> np.ndarray:
     """Frame coefficients ``C >= 0`` of ``H = Pi H0 Pi = Rt C Rt^T``, scaled
-    so that ``rho(H) = rho(C) = rho`` exactly; one r x r eigensolve a try."""
-    right = frame.right
-    for _ in range(_MAX_TRIES):
-        c = right.T @ rng.uniform(0.0, 1.0, (frame.n, frame.n)) @ right
-        scale = _radius_scale(c, rho)
-        if scale is not None:
-            return c * scale
-    raise RuntimeError("could not draw a projected nonnegative matrix")
+    so that ``rho(H) = rho(C) = rho`` exactly; one r x r eigensolve."""
+    c = frame.right.T @ rng.uniform(0.0, 1.0, (frame.n, frame.n)) @ frame.right
+    return c * _radius_scale(c, rho)
 
 
 def _convex_split(v: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,17 +257,12 @@ def regular_double(
     frame = random_frame(rng, m, n, rank)
     g = rng.uniform(0.7, 1.5, frame.rank)
     p = frame.splitting_matrix(g)
-    for _ in range(_MAX_TRIES):
-        # V = Pi_col V0 Pi_row = L X Rt^T with X = L^T V0 Rt
-        x = frame.left.T @ rng.uniform(0.2, 1.0, (m, n)) @ frame.right
-        scale = _radius_scale(g[:, None] * x, rho)  # P^+ V = Rt diag(g) X Rt^T
-        if scale is None:
-            continue
-        x = x * scale
-        theta = rng.uniform(0.05, 0.95, (m, n))
-        r, s = _convex_split(_expand(frame, x), theta)
-        return make_pds(_expand(frame, np.diag(1.0 / g) - x), p, r, s, cfg)
-    raise RuntimeError("could not draw a regular double splitting")
+    # V = Pi_col V0 Pi_row = L X Rt^T with X = L^T V0 Rt
+    x = frame.left.T @ rng.uniform(0.2, 1.0, (m, n)) @ frame.right
+    x = x * _radius_scale(g[:, None] * x, rho)  # P^+ V = Rt diag(g) X Rt^T
+    theta = rng.uniform(0.05, 0.95, (m, n))
+    r, s = _convex_split(_expand(frame, x), theta)
+    return make_pds(_expand(frame, np.diag(1.0 / g) - x), p, r, s, cfg)
 
 
 def weak_regular_single(
@@ -295,21 +288,13 @@ def weak_regular_single_square(
 
     U is the inverse of a random nonnegative matrix, so U^+ = U^{-1} >= 0
     while U (and V = U H) usually leave the nonnegative cone; U^+ V = H >= 0
-    keeps the splitting weak regular with iteration radius exactly rho.
+    keeps the splitting weak regular with iteration radius exactly rho.  A
+    singular ``I + U(0, 1)`` raises numpy's LinAlgError.
     """
-    for _ in range(_MAX_TRIES):
-        g = rng.uniform(0.0, 1.0, (n, n)) + np.eye(n)
-        try:
-            u = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            continue
-        h = rng.uniform(0.0, 1.0, (n, n))
-        scale = _radius_scale(h, rho)
-        if scale is None:
-            continue
-        h = h * scale
-        return make_proper_splitting(u - u @ h, u, cfg)
-    raise RuntimeError("could not draw a square weak regular splitting")
+    u = np.linalg.inv(rng.uniform(0.0, 1.0, (n, n)) + np.eye(n))
+    h = rng.uniform(0.0, 1.0, (n, n))
+    h = h * _radius_scale(h, rho)
+    return make_proper_splitting(u - u @ h, u, cfg)
 
 
 def nonneg_block_pair(rng, n: int, rho: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -403,7 +388,7 @@ def _ordered_frame_pair(rng, theorem, m, n, rank, cfg):
     g1, p1, p2, p_pinvs = _ordered_p_pair(rng, frame)
 
     x = frame.left.T @ rng.uniform(0.2, 1.0, (m, n)) @ frame.right
-    x = x * (rng.uniform(0.2, 0.9) / spectral_radius(g1[:, None] * x, cfg))
+    x = x * _radius_scale(g1[:, None] * x, rng.uniform(0.2, 0.9))
     v1 = _expand(frame, x)
     a = _expand(frame, np.diag(1.0 / g1) - x)
     v2 = v1 + (p2 - p1)  # >= 0: p2 - p1 is a nonneg rank-one sum
@@ -474,17 +459,15 @@ def comparison_pair(
     The frames give every hypothesis by construction: ``A^+ >= 0``, the
     regular or weak regular signs, ``P P^+ >= 0``, ``P1^+ >= P2^+`` (or
     ``P1^+ A >= P2^+ A``), the all-ones vector in ``range(A)`` and no zero
-    row in ``P2^+`` (weak-vs-regular), and a branch condition.  Every pair
-    is still re-verified through :func:`compare`, and redrawn while its
-    ``conclusion_predicted`` is false."""
-    for _ in range(_MAX_TRIES):
-        if theorem is TheoremId.WEAK_VS_WEAK:
-            if rng.uniform() < 0.6:
-                pair = _shared_p_pair(rng, m, n, rank, cfg)
-            else:
-                pair = _blockdiag_weak_pair(rng, m, n, rank, cfg)
-        else:
-            pair = _ordered_frame_pair(rng, theorem, m, n, rank, cfg)
-        if compare(theorem, pair[0], pair[1], cfg).conclusion_predicted:
-            return pair
-    raise RuntimeError(f"could not generate a hypothesis-satisfying pair for {theorem.value}")
+    row in ``P2^+`` (weak-vs-regular), and a branch condition.  The pair is
+    drawn once, with no redraw, and still checked through :func:`compare`:
+    a pair whose ``conclusion_predicted`` reads false raises RuntimeError."""
+    if theorem is not TheoremId.WEAK_VS_WEAK:
+        pair = _ordered_frame_pair(rng, theorem, m, n, rank, cfg)
+    elif rng.uniform() < 0.6:
+        pair = _shared_p_pair(rng, m, n, rank, cfg)
+    else:
+        pair = _blockdiag_weak_pair(rng, m, n, rank, cfg)
+    if not compare(theorem, pair[0], pair[1], cfg).conclusion_predicted:
+        raise RuntimeError(f"a generated pair fails a hypothesis of {theorem.value}")
+    return pair

@@ -1,5 +1,7 @@
 """Sanity checks for the randomized instance generators themselves."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -22,7 +24,16 @@ from propersplit.generators import (
     semimonotone_matrix,
     weak_regular_double,
     weak_regular_single,
+    weak_regular_single_square,
 )
+
+# the four builders that take their iteration radius rho from _radius_scale
+RADIUS_BUILDERS = {
+    "weak_regular_double": lambda rng, rho: weak_regular_double(rng, 6, 5, 3, rho=rho),
+    "regular_double": lambda rng, rho: regular_double(rng, 6, 5, 3, rho=rho),
+    "weak_regular_single": lambda rng, rho: weak_regular_single(rng, 6, 5, 3, rho=rho),
+    "weak_regular_single_square": lambda rng, rho: weak_regular_single_square(rng, 5, rho=rho),
+}
 
 
 def test_frame_structure():
@@ -140,3 +151,45 @@ def test_pair_builders_need_no_rejection(steering, m, n, rank):
         ratios = np.linalg.eigvalsh(p2_pinv @ p1)[-rank:]
         assert spectral_radius(p2_pinv @ v2) <= 1.0 - (1.0 - tau) * np.min(ratios) + 1e-12
         assert tau <= 0.9 + 1e-12 and np.min(ratios) >= 1.0 / 1.8 - 1e-12
+
+
+@pytest.mark.parametrize("build", RADIUS_BUILDERS.values(), ids=RADIUS_BUILDERS.keys())
+@pytest.mark.parametrize("rho", [-0.5, -1e-300, float("nan")])
+def test_a_negative_or_nan_rho_is_refused(build, rho):
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        build(default_rng(0), rho)
+
+
+@pytest.mark.parametrize("build", RADIUS_BUILDERS.values(), ids=RADIUS_BUILDERS.keys())
+def test_rho_one_raises_after_one_radius_scale(build, monkeypatch):
+    """At rho = 1 the derived A loses rank on every draw: the builder raises
+    at once instead of drawing again."""
+    calls = []
+    scale = generators._radius_scale
+
+    def counting(x, rho):
+        calls.append(rho)
+        return scale(x, rho)
+
+    monkeypatch.setattr(generators, "_radius_scale", counting)
+    with pytest.raises(ValueError, match="within 1e-8 of 1"):
+        build(default_rng(0), 1.0)
+    assert calls == [1.0]
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId))
+def test_comparison_pair_raises_on_an_unpredicted_pair(theorem, monkeypatch):
+    """A pair whose check through compare fails is not redrawn."""
+    built = []
+    for name in ("_ordered_frame_pair", "_shared_p_pair", "_blockdiag_weak_pair"):
+        builder = getattr(generators, name)
+
+        def recording(*args, _builder=builder):
+            built.append(_builder)
+            return _builder(*args)
+
+        monkeypatch.setattr(generators, name, recording)
+    monkeypatch.setattr(generators, "compare", lambda *args: SimpleNamespace(conclusion_predicted=False))
+    with pytest.raises(RuntimeError, match=theorem.value):
+        generators.comparison_pair(default_rng(0), theorem, 6, 5, 3)
+    assert len(built) == 1

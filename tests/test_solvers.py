@@ -290,7 +290,7 @@ def test_in_nullspace_equals_the_unscaled_test(tol):
 
 
 def test_in_nullspace_of_a_subnormal_start():
-    # x is never scaled up: 2^1073 would overflow
+    # x is scaled up by 2^1073, to 0.5, and V x is exactly 0: that meets solve_tol = 0
     x = np.full(3, 5e-324)
     assert solvers._in_nullspace(np.zeros((2, 3)), x, ToleranceConfig(solve_tol=0.0))
 
