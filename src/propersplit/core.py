@@ -2,8 +2,9 @@
 
 Everything else in the package funnels through this module.  Matrices are
 plain 2-D float64 numpy arrays with finite entries; vectors are 1-D arrays.
-All numerical thresholds live in :class:`ToleranceConfig` so a whole pipeline
-can be tightened or relaxed in one place.
+Every threshold a caller can set lives in :class:`ToleranceConfig`; the fixed
+ones are module constants: ``core._BRACKET_RTOL``, ``splitting._DERIVED_TOL``,
+``solvers.OVERFLOW_GUARD``, ``solvers._FLOOR``, the generators' 1e-8 margin.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _kept_svd(a, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+    except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
     # keeps s[0], as the cutoff is < 1, unless s[0] = 0: the zero matrix, r = 0
     keep = s > _rank_cutoff(a.shape, cfg) * s[0]

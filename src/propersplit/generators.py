@@ -298,7 +298,9 @@ def weak_regular_single_square(
 
 
 def nonneg_block_pair(rng, n: int, rho: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Nonnegative (B, C) with rho(B + C) = rho exactly."""
+    """Nonnegative (B, C) with rho(B + C) = rho exactly; ValueError for rho < 0 or NaN."""
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
     b = rng.uniform(0.0, 1.0, (n, n))
     c = rng.uniform(0.0, 1.0, (n, n))
     scale = rho / spectral_radius(b + c, cfg)

@@ -5,9 +5,9 @@ line ``m n``, then ``m`` lines of ``n`` whitespace-separated decimal numbers.
 Blank lines are ignored.  The writer emits 17 significant digits, which
 round-trips float64 values exactly.
 
-The reader converts the data lines with numpy's C text reader and re-reads
-line by line only text that reader refuses, so it accepts every token
-``float()`` reads and reports each fault at its line, whichever reader ran.
+The reader converts the data lines with numpy's C text reader, re-reads only
+text that reader refuses line by line, accepts every token ``float()`` reads,
+and, whichever reader ran, names the first faulty line in an error.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ def parse_matrix(text: str, name: str = "<matrix>") -> np.ndarray:
     When there are as many of those as the header promises, numpy's C text
     reader converts them in one call, and its result is kept if it has the
     promised shape and every entry is finite.  Any other text goes through
-    ``_parse_rows``, which reports its earliest fault or reads the tokens
-    only ``float()`` accepts, such as ``1_000``.  Both readers round with
-    ``PyOS_string_to_double`` and split fields as ``str.split`` does, so the
-    bits do not depend on which reader ran.
+    ``_parse_rows``, which names the first faulty line in its error or reads
+    the tokens only ``float()`` accepts, such as ``1_000``.  Both readers
+    round with ``PyOS_string_to_double`` and split fields as ``str.split``
+    does, so the bits do not depend on which reader ran.
     """
     rows_needed = cols_needed = None
     data: list[tuple[int, str]] = []  # (line number, line) of each data line
@@ -80,43 +80,27 @@ def _parse_rows(
     """The data lines read one row at a time, or the error naming the
     earliest faulty line."""
     rows: list[np.ndarray] = []
-    linenos: list[int] = []  # the line number of each row
     for lineno, raw in data:
         tokens = raw.split()
-        # finiteness is tested once, at the end, so a non-finite value on an
-        # earlier line is looked for before any fault on this one is reported
         if len(rows) == rows_needed:
-            _finite_rows(rows, linenos, name)
             raise MatrixFormatError(f"{name}:{lineno}: more than {rows_needed} data rows")
         if len(tokens) != cols_needed:
-            _finite_rows(rows, linenos, name)
             raise MatrixFormatError(
                 f"{name}:{lineno}: expected {cols_needed} values, got {len(tokens)}"
             )
         try:
             # numpy's string cast accepts and rejects the same tokens as float()
-            rows.append(np.array(tokens, dtype=float))
+            row = np.array(tokens, dtype=float)
         except ValueError as exc:
-            _finite_rows(rows, linenos, name)
             raise MatrixFormatError(f"{name}:{lineno}: unparseable number in {raw!r}") from exc
-        linenos.append(lineno)
-    matrix = _finite_rows(rows, linenos, name)
+        if not np.isfinite(row).all():
+            raise MatrixFormatError(f"{name}:{lineno}: non-finite value")
+        rows.append(row)
     if len(rows) != rows_needed:
         raise MatrixFormatError(
             f"{name}: header promises {rows_needed} rows, found {len(rows)}"
         )
-    return matrix
-
-
-def _finite_rows(rows: list[np.ndarray], linenos: list[int], name: str) -> np.ndarray:
-    """The rows stacked into one array, or the error naming the first line
-    that holds a non-finite value."""
-    matrix = np.array(rows, dtype=float)
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        first = int(np.argmin(finite.all(axis=-1)))
-        raise MatrixFormatError(f"{name}:{linenos[first]}: non-finite value")
-    return matrix
+    return np.array(rows, dtype=float)
 
 
 def read_matrix(path) -> np.ndarray:

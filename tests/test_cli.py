@@ -107,6 +107,18 @@ class TestSpectrum:
         assert lines[-1] == "dominant vector (unit max entry): 0.0 0.7675918792439981 0.0 0.0 1.0 0.0"
 
 
+@pytest.mark.parametrize("command, routine", [("pinv", "svd"), ("spectrum", "eig")])
+def test_lapack_failure_exit_3(command, routine, monkeypatch, capsys):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(np.linalg, routine, fails)
+    assert main([command, str(DATA / "ex2_w1.mat")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "did not converge: forced failure" in err
+
+
 class TestClassify:
     def test_single(self, ex2_files, capsys):
         assert main(["classify", "single", ex2_files["a"], ex2_files["p1"]]) == 0

@@ -9,6 +9,7 @@ from numpy.random import default_rng
 
 from propersplit import (
     DEFAULT_TOLERANCES,
+    DecompositionFailure,
     NonFiniteError,
     NotSquareError,
     ShapeMismatchError,
@@ -152,6 +153,19 @@ class TestEigenvalues:
             m = rng.standard_normal((5, 5))
             spec = eigenvalues(m)
             assert abs(spec.spectral_radius - max(abs(ev) for ev in spec.eigenvalues)) < 1e-12
+
+
+def _lapack_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+@pytest.mark.parametrize(
+    "routine, func", [("svd", pinv), ("eig", eigenvalues), ("eigvals", spectral_radius)]
+)
+def test_lapack_failure_is_a_decomposition_failure(routine, func, monkeypatch):
+    monkeypatch.setattr(np.linalg, routine, _lapack_fails)
+    with pytest.raises(DecompositionFailure, match="did not converge: forced failure"):
+        func(np.eye(3))
 
 
 class TestPerronFrobenius:

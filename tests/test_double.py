@@ -1,6 +1,7 @@
 """Tests for proper double splittings and the companion iteration matrix."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,32 @@ class TestCheckConvergence:
             assert rep.biconditional_agrees
             assert rep.converges == (rho < 1.0)
             assert abs(rep.rho_induced - rho) < 1e-8
+
+    def test_companion_radius_lies_between_sigma_and_its_root(self):
+        # weak regular: rho(W) lies between sigma = rho(P^+(R - S)) and
+        # sqrt(sigma); the two radii come from independent paths, so a
+        # report outside that interval means one of the paths is wrong
+        rng = default_rng(180)
+        splittings = []
+        for m, n, rank in ((6, 5, 3), (12, 10, 5), (30, 24, 12), (50, 40, 20)):
+            for rho in (0.3, 0.6, 0.9, 0.99, 1.1, 1.5):
+                for _ in range(3):
+                    splittings.append(
+                        weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3)
+                    )
+                    splittings.append(regular_double(rng, m, n, rank, rho=rho))
+        for theorem in TheoremId:
+            for _ in range(10):
+                splittings.extend(comparison_pair(rng, theorem, 8, 6, 3))
+        cfg = ToleranceConfig()
+        for d in splittings:
+            rep = check_convergence(d, cfg)
+            if rep.splitting_class is DoubleSplittingClass.PROPER_ONLY:
+                continue
+            sigma = rep.rho_induced
+            lo, hi = sorted((sigma, math.sqrt(sigma)))
+            tol = cfg.spectral_tol * max(1.0, hi)
+            assert lo - tol <= rep.rho_w <= hi + tol
 
     def test_block_lemma(self):
         # [[B, C], [I, 0]] >= 0 with rho(B + C) < 1 has spectral radius < 1

@@ -45,6 +45,12 @@ def test_frame_structure():
     assert is_nonneg(f.col_projector()) and is_nonneg(f.row_projector())
 
 
+@pytest.mark.parametrize("rank", [0, 5])
+def test_random_frame_refuses_a_rank_outside_one_to_min_m_n(rank):
+    with pytest.raises(ValueError, match=r"rank must lie in \[1, min\(m, n\)\]"):
+        random_frame(default_rng(0), 6, 4, rank)
+
+
 def test_frame_splitting_matrix_exact_pinv():
     rng = default_rng(62)
     f = random_frame(rng, 5, 6, 2)
@@ -104,6 +110,18 @@ def test_nonneg_block_pair_radius():
     b, c = nonneg_block_pair(rng, 4, rho=0.9)
     assert is_nonneg(b) and is_nonneg(c)
     assert abs(spectral_radius(b + c) - 0.9) < 1e-10
+
+
+@pytest.mark.parametrize("rho", [-0.5, -1e-300, float("nan")])
+def test_nonneg_block_pair_refuses_a_negative_or_nan_rho(rho):
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        nonneg_block_pair(default_rng(0), 4, rho)
+
+
+def test_nonneg_block_pair_takes_rho_one():
+    b, c = nonneg_block_pair(default_rng(0), 4, 1.0)
+    assert is_nonneg(b) and is_nonneg(c)
+    assert abs(spectral_radius(b + c) - 1.0) < 1e-10
 
 
 @pytest.fixture
