@@ -191,9 +191,6 @@ def _perron_vector(m: np.ndarray, vals, vecs, rho: float, cfg: ToleranceConfig):
     tol = cfg.spectral_tol
 
     def accept(v: np.ndarray):
-        peak = np.max(np.abs(v))
-        if peak <= 0.0:
-            return None
         # sign fix + unit max entry; adding 0.0 turns each -0.0 into 0.0
         v = v / v[int(np.argmax(np.abs(v)))] + 0.0
         if not is_nonneg(v, cfg):

@@ -1,5 +1,8 @@
 """Randomized splitting generators for property tests and soundness sweeps.
 
+The module holds the frame constructions only: builders that draw outside a
+frame, such as rank-deficient matrices, are test fixtures.
+
 The constructions are built on *nonnegative orthogonal frames*: a rank-r
 matrix family spanned by rank-one terms ``c_i u_i^T`` where the ``c_i`` (in
 R^m) and ``u_i`` (in R^n) are nonnegative unit vectors with pairwise disjoint
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparison import TheoremId, compare
-from .core import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, pinv, spectral_radius
+from .core import DEFAULT_TOLERANCES, ToleranceConfig
 from .double import ProperDoubleSplitting, make_pds
 from .splitting import ProperSplitting, make_proper_splitting
 
@@ -56,12 +59,7 @@ __all__ = [
     "weak_regular_double",
     "regular_double",
     "weak_regular_single",
-    "weak_regular_single_square",
     "comparison_pair",
-    "nonneg_block_pair",
-    "perturbed_proper_splitting",
-    "rank_deficient_matrix",
-    "semimonotone_matrix",
 ]
 
 
@@ -88,14 +86,6 @@ class Frame:
     @property
     def rank(self) -> int:
         return self.left.shape[1]
-
-    def col_projector(self) -> np.ndarray:
-        """Projector onto the column space; entrywise nonnegative."""
-        return self.left @ self.left.T
-
-    def row_projector(self) -> np.ndarray:
-        """Projector onto the row space; entrywise nonnegative."""
-        return self.right @ self.right.T
 
     def rank_one_sum(self, coeffs) -> np.ndarray:
         """``sum_i coeffs[i] * left_i right_i^T`` (an m x n matrix)."""
@@ -279,63 +269,6 @@ def weak_regular_single(
     u = frame.splitting_matrix(g)
     c = _projected_nonneg(rng, frame, rho)
     return make_proper_splitting(_expand(frame, (np.eye(frame.rank) - c) / g[:, None]), u, cfg)
-
-
-def weak_regular_single_square(
-    rng, n: int, rho: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ProperSplitting:
-    """Square weak regular splitting whose U itself has mixed signs.
-
-    U is the inverse of a random nonnegative matrix, so U^+ = U^{-1} >= 0
-    while U (and V = U H) usually leave the nonnegative cone; U^+ V = H >= 0
-    keeps the splitting weak regular with iteration radius exactly rho.  A
-    singular ``I + U(0, 1)`` raises numpy's LinAlgError.
-    """
-    u = np.linalg.inv(rng.uniform(0.0, 1.0, (n, n)) + np.eye(n))
-    h = rng.uniform(0.0, 1.0, (n, n))
-    h = h * _radius_scale(h, rho)
-    return make_proper_splitting(u - u @ h, u, cfg)
-
-
-def nonneg_block_pair(rng, n: int, rho: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Nonnegative (B, C) with rho(B + C) = rho exactly; ValueError for rho < 0 or NaN."""
-    if not rho >= 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    b = rng.uniform(0.0, 1.0, (n, n))
-    c = rng.uniform(0.0, 1.0, (n, n))
-    scale = rho / spectral_radius(b + c, cfg)
-    return b * scale, c * scale
-
-
-def rank_deficient_matrix(rng, m: int, n: int, rank: int) -> np.ndarray:
-    """Random m x n matrix of the given rank (0 gives the zero matrix)."""
-    if rank == 0:
-        return np.zeros((m, n))
-    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-
-
-def semimonotone_matrix(rng, m: int, n: int, rank: int) -> np.ndarray:
-    """Matrix A with A^+ >= 0, built as the pseudoinverse of a nonnegative matrix."""
-    b = rng.uniform(0.1, 1.0, (n, rank)) @ rng.uniform(0.1, 1.0, (rank, m))
-    return pinv(b)
-
-
-def perturbed_proper_splitting(
-    rng, a, cfg: ToleranceConfig = DEFAULT_TOLERANCES, scale: float = 0.5
-) -> ProperSplitting:
-    """Generic proper splitting of a given A via U = A(I + N).
-
-    N has its rows projected onto the row space of A (so it vanishes on the
-    null space) and is scaled below unit norm (so I + N acts invertibly on
-    the row space); together these preserve both subspace conditions.
-    """
-    a = as_matrix(a)
-    n = a.shape[1]
-    nmat = rng.standard_normal((n, n)) @ (pinv(a, cfg) @ a)
-    norm = np.linalg.norm(nmat, 2)
-    if norm > 0.0:
-        nmat = nmat * (scale / norm)
-    return make_proper_splitting(a, a + a @ nmat, cfg)
 
 
 def _ordered_p_pair(rng, frame: Frame):

@@ -234,9 +234,9 @@ def _rows_per_call(r: int, h: int) -> int:
     return p
 
 
-def _multistep(m: np.ndarray, h: int, p: int) -> np.ndarray:
-    """The ``(p(r+1) - 1) x h(r+1)`` map from the window of M = m (see
-    :func:`_advance`) to the next p rows ``[z, 1, ..., z, 1, z]``: M, then
+def _multistep(m: np.ndarray, p: int) -> np.ndarray:
+    """The ``(p(r+1) - 1) x h(r+1)`` map from the window of M = m, which is
+    ``h(r+1)`` columns wide (see :func:`_advance`), to the next p rows ``[z, 1, ..., z, 1, z]``: M, then
     each z block M times the h blocks before it, each 1 row ``e_last``.
     M itself where the map is not finite, as when the powers of M overflow."""
     r, width = m.shape
@@ -337,7 +337,7 @@ def _advance(blocks, basis: np.ndarray, c: np.ndarray, start):
         buf[:h] = buf[last : last + h]
         rules[0] = rules[last]
         if k == _CHUNK and wide > 1:
-            use(_multistep(m, h, wide))
+            use(_multistep(m, wide))
             wide = 1
         full, rest = divmod(k, p)
         made = len(pairs)

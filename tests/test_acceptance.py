@@ -27,13 +27,12 @@ from propersplit import (
 )
 from propersplit.generators import (
     comparison_pair,
-    nonneg_block_pair,
-    rank_deficient_matrix,
     weak_regular_double,
     weak_regular_single,
-    weak_regular_single_square,
 )
 from propersplit.matrixfile import format_matrix
+
+from builders import nonneg_block_pair, rank_deficient_matrix, weak_regular_single_square
 
 SOLVE_TOL = 1e-10  # default ToleranceConfig.solve_tol, pinned for criterion 4
 

@@ -26,7 +26,8 @@ from propersplit import (
     spectral_radius,
 )
 from propersplit import core
-from propersplit.generators import rank_deficient_matrix
+
+from builders import rank_deficient_matrix
 
 
 class TestValidation:

@@ -30,11 +30,11 @@ from propersplit import splitting
 from propersplit.generators import (
     _blockdiag_weak_pair,
     comparison_pair,
-    perturbed_proper_splitting,
-    rank_deficient_matrix,
     weak_regular_double,
 )
 from propersplit.splitting import ProperSplitting, _projector_residuals, _residual_bounds
+
+from builders import perturbed_proper_splitting, rank_deficient_matrix
 
 EPS = np.finfo(float).eps
 DATA = Path(__file__).resolve().parent / "data"

@@ -40,11 +40,12 @@ from propersplit import splitting
 from propersplit.cli import main
 from propersplit.generators import (
     comparison_pair,
-    nonneg_block_pair,
     regular_double,
     weak_regular_double,
     weak_regular_single,
 )
+
+from builders import nonneg_block_pair
 
 DATA = Path(__file__).resolve().parent / "data"
 

@@ -18,14 +18,13 @@ from propersplit import (
 )
 from propersplit import generators
 from propersplit.generators import (
-    nonneg_block_pair,
     random_frame,
     regular_double,
-    semimonotone_matrix,
     weak_regular_double,
     weak_regular_single,
-    weak_regular_single_square,
 )
+
+from builders import nonneg_block_pair, weak_regular_single_square
 
 # the four builders that take their iteration radius rho from _radius_scale
 RADIUS_BUILDERS = {
@@ -36,13 +35,21 @@ RADIUS_BUILDERS = {
 }
 
 
+def test_public_names_are_the_frame_constructions():
+    """A new public builder is added to this list on purpose; test fixtures
+    that draw outside a frame live in the test suite's ``builders``."""
+    names = ["Frame", "random_frame", "weak_regular_double", "regular_double", "weak_regular_single", "comparison_pair"]
+    assert generators.__all__ == names
+    assert all(getattr(generators, name).__module__ == "propersplit.generators" for name in names)
+
+
 def test_frame_structure():
     rng = default_rng(61)
     f = random_frame(rng, 6, 5, 3)
     assert np.allclose(f.left.T @ f.left, np.eye(3), atol=1e-12)
     assert np.allclose(f.right.T @ f.right, np.eye(3), atol=1e-12)
     assert np.min(f.left) >= 0.0 and np.min(f.right) >= 0.0
-    assert is_nonneg(f.col_projector()) and is_nonneg(f.row_projector())
+    assert is_nonneg(f.left @ f.left.T) and is_nonneg(f.right @ f.right.T)
 
 
 @pytest.mark.parametrize("rank", [0, 5])
@@ -64,7 +71,7 @@ def test_frame_splitting_matrix_exact_pinv():
 def test_indicator_frame_contains_ones():
     rng = default_rng(63)
     f = random_frame(rng, 6, 4, 3, indicator_left=True)
-    q = f.col_projector()
+    q = f.left @ f.left.T
     e = np.ones(6)
     assert np.linalg.norm(q @ e - e) < 1e-12
 
@@ -101,7 +108,7 @@ def test_weak_regular_single_class():
 def test_semimonotone_matrix():
     rng = default_rng(68)
     for _ in range(10):
-        a = semimonotone_matrix(rng, 5, 4, 2)
+        a = pinv(rng.uniform(0.1, 1.0, (4, 2)) @ rng.uniform(0.1, 1.0, (2, 5)))
         assert is_nonneg(pinv(a))
 
 

@@ -16,11 +16,9 @@ from propersplit import (
     make_proper_splitting,
     pinv,
 )
-from propersplit.generators import (
-    perturbed_proper_splitting,
-    weak_regular_single,
-    weak_regular_single_square,
-)
+from propersplit.generators import weak_regular_single
+
+from builders import perturbed_proper_splitting, weak_regular_single_square
 
 
 class TestMakeProperSplitting:
