@@ -18,10 +18,11 @@ Output is text by default; the text report is rendered from the one JSON
 document ``--format json`` prints.  For ``spectrum``, ``classify`` and
 ``compare`` that document is the library report encoded field by field, with
 four keys renamed (``_RENAMED``); ``--echo-inputs`` adds every input, vectors
-as flat lists.  Every tolerance but ``rank_rel_cutoff`` is flag-overridable;
-that one has no flag, so the CLI always takes the default rank cutoff,
-``max(m, n) * eps``, and a report made with another cutoff cannot be
-reproduced from the command line.
+as flat lists.  JSON has no Infinity or NaN, so the JSON form writes every
+non-finite number as ``null``; the text report prints it as is.  Every
+tolerance but ``rank_rel_cutoff`` is flag-overridable; that one has no flag,
+so the CLI always takes the default rank cutoff, ``max(m, n) * eps``, and a
+report made with another cutoff cannot be reproduced from the command line.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -338,11 +340,24 @@ _COMMANDS = {
 }
 
 
+def _finite(x):
+    """``x`` with every non-finite float, at any depth, as None, which JSON
+    writes as ``null``: JSON has no Infinity or NaN (``JSON.stringify``'s
+    rule)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
 def _emit(args, doc, render, inputs) -> None:
     if args.format == "json":
         if args.echo_inputs:
             doc["inputs"] = _plain(inputs)
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
     else:
         payload = "\n".join(render(doc)) + "\n"
     if args.out:

@@ -112,7 +112,7 @@ def compare(
 ) -> ComparisonReport:
     """Check the hypotheses and the conclusion of ``theorem`` for (d1, d2).
 
-    Each ``rho_i`` is ``d_i.companion_radius(cfg)``.  Square-corollary mode
+    Each ``rho_i`` is ``d_i.companion_radius()``.  Square-corollary mode
     checks that A is square and nonsingular, A's rank being P1's, and, where
     the theorem orders ``P1^+ >= P2^+``, adds the ``R1 >= R2`` check.  It
     factors nothing new: for such an A, and a proper P_i, ``A^+`` and
@@ -125,14 +125,14 @@ def compare(
     if square_corollary:
         if a.shape[0] != a.shape[1]:
             raise NotInvertibleError(f"square corollary mode needs a square A, got {a.shape}")
-        if d1.rowspace(cfg).shape[1] < a.shape[1]:
+        if d1.rowspace().shape[1] < a.shape[1]:
             raise NotInvertibleError("square corollary mode needs a nonsingular A")
         notes.append("square corollary mode: A is invertible, classical inverse used")
-    a_inv, p1_inv = d1.pinvs(cfg)
-    p2_inv = d2.pinvs(cfg)[1]
-    (pr1, ps1), (pr2, ps2) = d1.blocks(cfg), d2.blocks(cfg)
-    regular1, weak1 = sign_residuals(d1, cfg)
-    regular2, weak2 = sign_residuals(d2, cfg)
+    a_inv, p1_inv = d1.pinvs()
+    p2_inv = d2.pinvs()[1]
+    (pr1, ps1), (pr2, ps2) = d1.blocks(), d2.blocks()
+    regular1, weak1 = sign_residuals(d1)
+    regular2, weak2 = sign_residuals(d2)
 
     # the hypotheses the theorem requires; the branch conditions follow them
     required = [_nonneg_verdict("A^+ >= 0", a_inv, cfg)]
@@ -188,8 +188,8 @@ def compare(
     else:
         branch_used = Branch.NEITHER
 
-    rho1 = d1.companion_radius(cfg)
-    rho2 = d2.companion_radius(cfg)
+    rho1 = d1.companion_radius()
+    rho2 = d2.companion_radius()
 
     predicted = all(v.passed for v in required) and branch_used is not Branch.NEITHER
     observed = rho1 <= rho2 + cfg.spectral_tol and rho2 < 1.0 - cfg.spectral_tol

@@ -46,7 +46,8 @@ class ToleranceConfig:
     nonneg_slack     absolute entrywise slack for ``>= 0`` tests
     rank_rel_cutoff  relative singular value cutoff in (0, 1); ``None`` selects
                      ``max(m, n) * machine_epsilon``, the standard
-                     pseudoinverse rule
+                     pseudoinverse rule; read by :func:`pinv` and when a
+                     splitting is made, which keeps it for all its factors
     eq_abs_tol       entrywise matrix equality tolerance
     spectral_tol     eigenvalue / spectral radius tolerance
     solve_tol        iterate step tolerance for the solvers
@@ -338,7 +339,7 @@ def _bracket_budget(blocks, r: int) -> int:
     return int(eig_ns / (_STEP_NS[0] + _STEP_NS[1] * len(blocks) * n * n))
 
 
-def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float:
+def _restricted_radius(basis: np.ndarray, blocks) -> float:
     """Spectral radius of ``blocks[0]`` alone, or of the companion
     :func:`companion_from_blocks` of two blocks, where every block maps into
     ``range(basis)`` and ``basis`` (n x r) has orthonormal columns.
@@ -373,7 +374,7 @@ def _restricted_radius(basis: np.ndarray, blocks, cfg: ToleranceConfig) -> float
     if r < n:
         blocks = [basis.T @ (b @ basis) for b in blocks]
     m = blocks[0] if len(blocks) == 1 else companion_from_blocks(*blocks)
-    return spectral_radius(m, cfg)
+    return spectral_radius(m)
 
 
 def nonneg_residual(x) -> float:

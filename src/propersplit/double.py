@@ -50,7 +50,7 @@ class ProperDoubleSplitting(ProperSplitting):
     """Validated quadruple A = P - R + S with P proper over A.
 
     It is its induced single splitting ``U = P, V = R - S``, with R and S
-    kept beside it: proper-ness, ``pinvs``, ``rowspace``, ``radius``
+    kept beside it: proper-ness, ``cfg``, ``pinvs``, ``rowspace``, ``radius``
     (``rho(P^+(R - S))``) and the memo are those of that splitting, and
     :meth:`block` is that splitting's ``U^+ V``, taken as ``P^+R - P^+S``
     from :meth:`blocks`.  :meth:`companion_radius` is ``rho(W)``."""
@@ -63,20 +63,20 @@ class ProperDoubleSplitting(ProperSplitting):
         """P, which is U."""
         return self.u
 
-    def blocks(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(P^+ R, P^+ S)``."""
-        p_pinv = self.pinvs(cfg)[1]
-        return self._owned("P^+R, P^+S", cfg, lambda: (p_pinv @ self.r, p_pinv @ self.s))
+        p_pinv = self.pinvs()[1]
+        return self._owned("P^+R, P^+S", lambda: (p_pinv @ self.r, p_pinv @ self.s))
 
-    def block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    def block(self) -> np.ndarray:
         """Read-only ``P^+R - P^+S`` from :meth:`blocks`: one subtraction in
         place of a third n x m x n product, equal to ``P^+ (R - S)`` up to
         rounding."""
-        return self._owned("U^+V", cfg, lambda: (np.subtract(*self.blocks(cfg)),))[0]
+        return self._owned("U^+V", lambda: (np.subtract(*self.blocks()),))[0]
 
-    def companion_radius(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    def companion_radius(self) -> float:
         """``rho(W)`` by ``core._restricted_radius``, taken on each call."""
-        return _restricted_radius(self.rowspace(cfg), self.blocks(cfg), cfg)
+        return _restricted_radius(self.rowspace(), self.blocks())
 
 
 def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDoubleSplitting:
@@ -97,18 +97,16 @@ def make_pds(a, p, r, s, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ProperDou
     del gap  # as large as A: not kept alive while _require_proper factors P
     if mismatch > cfg.eq_abs_tol:
         raise DecompositionMismatchError(mismatch, cfg.eq_abs_tol)
-    d = ProperDoubleSplitting(a, p, as_matrix(r - s, readonly=True), r, s)
-    _require_proper(d, cfg)
+    d = ProperDoubleSplitting(a, p, as_matrix(r - s, readonly=True), cfg, r, s)
+    _require_proper(d)
     return d
 
 
-def sign_residuals(
-    d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[float, float]:
+def sign_residuals(d: ProperDoubleSplitting) -> tuple[float, float]:
     """Worst entry violations of the regular (P^+, R, -S >= 0) and weak regular
     (P^+, P^+ R, -P^+ S >= 0) sign tests."""
-    pr, ps = d.blocks(cfg)
-    lowest = nonneg_residual(d.pinvs(cfg)[1])
+    pr, ps = d.blocks()
+    lowest = nonneg_residual(d.pinvs()[1])
     regular = max(lowest, nonneg_residual(d.r), nonneg_residual(-d.s))
     weak = max(lowest, nonneg_residual(pr), nonneg_residual(-ps))
     return regular, weak
@@ -118,7 +116,7 @@ def classify_double(
     d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> DoubleSplittingClass:
     """Strongest applicable tag from :func:`sign_residuals`."""
-    regular, weak = sign_residuals(d, cfg)
+    regular, weak = sign_residuals(d)
     if regular <= cfg.nonneg_slack:
         return DoubleSplittingClass.REGULAR
     if weak <= cfg.nonneg_slack:
@@ -126,11 +124,9 @@ def classify_double(
     return DoubleSplittingClass.PROPER_ONLY
 
 
-def iteration_matrix(
-    d: ProperDoubleSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def iteration_matrix(d: ProperDoubleSplitting) -> np.ndarray:
     """The 2n x 2n companion matrix of the two-step scheme."""
-    return companion_from_blocks(*d.blocks(cfg))
+    return companion_from_blocks(*d.blocks())
 
 
 @dataclass(frozen=True)
@@ -163,9 +159,9 @@ def check_convergence(
 ) -> ConvergenceReport:
     """Classify d and take its two radii, ``rho(W)`` first."""
     cls = classify_double(d, cfg)
-    rho_w = d.companion_radius(cfg)
-    rho_induced = d.radius(cfg)
-    semi = is_nonneg(d.pinvs(cfg)[0], cfg)
+    rho_w = d.companion_radius()
+    rho_induced = d.radius()
+    semi = is_nonneg(d.pinvs()[0], cfg)
     converges = rho_w < 1.0
 
     if cls is DoubleSplittingClass.PROPER_ONLY:

@@ -380,7 +380,7 @@ def solve_single(
 ) -> IterationTrace:
     """One-step stationary iteration for the single splitting A = U - V.
     The trace holds every iterate only with ``keep_iterates``."""
-    return _solve(s, b, [x0], (s.block(cfg),), cfg, keep_iterates)
+    return _solve(s, b, [x0], (s.block(),), cfg, keep_iterates)
 
 
 def solve_double(
@@ -398,7 +398,7 @@ def solve_double(
     coincidence, so a stop needs two small steps in a row.  The trace holds
     every iterate only with ``keep_iterates``.
     """
-    return _solve(d, b, [x0, x1], d.blocks(cfg), cfg, keep_iterates)
+    return _solve(d, b, [x0, x1], d.blocks(), cfg, keep_iterates)
 
 
 def _solve(s, b, starts, blocks, cfg, keep_iterates) -> IterationTrace:
@@ -407,7 +407,7 @@ def _solve(s, b, starts, blocks, cfg, keep_iterates) -> IterationTrace:
     m, n = s.a.shape
     b = as_vector(b, length=m)
     start = [np.zeros(n) if x is None else as_vector(x, length=n) for x in starts]
-    a_pinv, u_pinv = s.pinvs(cfg)
-    advance, lift = _advance(blocks, s.rowspace(cfg), u_pinv @ b, start)
+    a_pinv, u_pinv = s.pinvs()
+    advance, lift = _advance(blocks, s.rowspace(), u_pinv @ b, start)
     x0_flag = _in_nullspace(s.v, start[0], cfg)
     return _iterate(advance, lift, start, a_pinv @ b, len(start), x0_flag, cfg, keep_iterates)

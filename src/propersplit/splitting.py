@@ -49,25 +49,28 @@ class SplittingClass(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ProperSplitting:
-    """Validated triple A = U - V with range(U) = range(A), null(U) = null(A)."""
+    """Validated triple A = U - V with range(U) = range(A), null(U) = null(A).
+
+    ``cfg`` is the config the splitting was validated under; its rank cutoff
+    is the one every factor of the splitting is taken with."""
 
     a: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    cfg: ToleranceConfig
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _owned(self, name: str, cfg: ToleranceConfig, make):
-        """``make()``'s read-only matrices, made once per effective rank cutoff."""
+    def _owned(self, name: str, make):
+        """``make()``'s read-only matrices, made once."""
         # read-only, because every consumer of the splitting shares them
-        key = (name, _rank_cutoff(self.a.shape, cfg))
-        if key not in self._memo:
+        if name not in self._memo:
             mats = make()
             for m in mats:
                 m.flags.writeable = False
-            self._memo[key] = mats
-        return self._memo[key]
+            self._memo[name] = mats
+        return self._memo[name]
 
-    def _factors(self, cfg: ToleranceConfig):
+    def _factors(self):
         """``(A^+, U^+, V_r, bounds)`` from U's SVD alone when the splitting
         is proper, ``bounds`` being upper bounds on the two residuals
         :func:`check_projector_identities` reports for that A^+.
@@ -87,31 +90,30 @@ class ProperSplitting:
         dense residuals of :func:`_projector_residuals` are formed, and
         decide, only where a bound does not clear ``_DERIVED_TOL``, so the
         decision is the one the dense residuals alone would make.
-        Otherwise, under every rank cutoff alike, A^+ is A's own
-        pseudoinverse, :func:`core.pinv`, and ``bounds`` are its dense
-        residuals.  Without the range test the derived A^+ passes both
-        identities for the non-proper ``A = I``, ``U = diag(1, 0)``, and for
-        any A that gains a small singular value outside U's range and row
-        space.
+        Otherwise A^+ is A's own pseudoinverse, :func:`core.pinv`, and
+        ``bounds`` are its dense residuals.  Without the range test the
+        derived A^+ passes both identities for the non-proper ``A = I``,
+        ``U = diag(1, 0)``, and for any A that gains a small singular value
+        outside U's range and row space.
         """
 
         def make():
-            a_pinv, u_pinv, v_r, bounds = self._from_u_svd(cfg)
+            a_pinv, u_pinv, v_r, bounds = self._from_u_svd()
             if a_pinv is not None and bounds.max() <= _DERIVED_TOL:
                 return a_pinv, u_pinv, v_r, bounds
             if a_pinv is not None:
                 bounds = _projector_residuals(self, a_pinv, u_pinv)
             if a_pinv is None or max(bounds) > _DERIVED_TOL:
-                a_pinv = pinv(self.a, cfg)
+                a_pinv = pinv(self.a, self.cfg)
                 bounds = _projector_residuals(self, a_pinv, u_pinv)
             # the kept A^+'s own residuals: check_projector_identities' values
             residuals = np.array(bounds)
-            self._owned("residuals", cfg, lambda: (residuals,))
+            self._owned("residuals", lambda: (residuals,))
             return a_pinv, u_pinv, v_r, residuals
 
-        return self._owned("pinvs", cfg, make)
+        return self._owned("pinvs", make)
 
-    def _from_u_svd(self, cfg: ToleranceConfig):
+    def _from_u_svd(self):
         """``(A^+, U^+, V_r, bounds)`` from U's SVD, A^+ and ``bounds`` None
         where A leaves U's range or K is singular, ``bounds`` otherwise
         :func:`_residual_bounds`' pair for the derived A^+.  At r = m, where
@@ -122,13 +124,13 @@ class ProperSplitting:
         or for X multiplied, by the power of two at ``max |A|``.  That is
         exact, it leaves every projector product as it is, and it keeps the
         squared norms of their rows and columns finite."""
-        u_r, s_r, v_r = _kept_svd(self.u, cfg)
+        u_r, s_r, v_r = _kept_svd(self.u, self.cfg)
         scaled = v_r / s_r
         e = -math.frexp(np.abs(self.a).max())[1]
         a_s = np.ldexp(self.a, e)
         t_s = u_r.T @ a_s
         a_pinv = bounds = None
-        if s_r.size == a_s.shape[0] or not _leaves_range(a_s, u_r, t_s, v_r, cfg):
+        if s_r.size == a_s.shape[0] or not _leaves_range(a_s, u_r, t_s, v_r, self.cfg):
             k = np.eye(s_r.size) - (u_r.T @ self.v) @ v_r / s_r
             try:
                 x = np.linalg.solve(k.T, scaled.T).T
@@ -139,26 +141,25 @@ class ProperSplitting:
                 bounds = _residual_bounds(a_s, np.ldexp(x, -e), t_s, u_r, s_r, v_r)
         return a_pinv, scaled @ u_r.T, np.ascontiguousarray(v_r), bounds
 
-    def pinvs(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    def pinvs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(A^+, U^+)`` from one SVD, U's (see :meth:`_factors`).
 
-        Where the splitting is proper under the rank cutoff A's rank is U's,
-        and A's own SVD runs only when the A^+ derived from U's fails its
-        check."""
-        return self._factors(cfg)[:2]
+        The splitting is proper, so A's rank is U's, and A's own SVD runs
+        only when the A^+ derived from U's fails its check."""
+        return self._factors()[:2]
 
-    def rowspace(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    def rowspace(self) -> np.ndarray:
         """Read-only n x r orthonormal basis of ``range(U^+)``, U's kept right
         singular vectors from the SVD that forms ``U^+``."""
-        return self._factors(cfg)[2]
+        return self._factors()[2]
 
-    def block(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    def block(self) -> np.ndarray:
         """Read-only ``U^+ V``, the iteration matrix of the one-step scheme."""
-        return self._owned("U^+V", cfg, lambda: (self.pinvs(cfg)[1] @ self.v,))[0]
+        return self._owned("U^+V", lambda: (self.pinvs()[1] @ self.v,))[0]
 
-    def radius(self, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    def radius(self) -> float:
         """``rho(U^+ V)`` by ``core._restricted_radius``, taken on each call."""
-        return _restricted_radius(self.rowspace(cfg), (self.block(cfg),), cfg)
+        return _restricted_radius(self.rowspace(), (self.block(),))
 
 
 # The A^+ derived from U's SVD is kept only when it makes A A^+ and A^+ A equal
@@ -238,11 +239,12 @@ def _residual_bounds(
     return np.array([range_bound, rowspace_bound + gamma * rowspace_allowance])
 
 
-def _require_proper(s: ProperSplitting, cfg: ToleranceConfig) -> None:
+def _require_proper(s: ProperSplitting) -> None:
     """Accept where both of the kept A^+'s residual bounds clear
     ``eq_abs_tol``; elsewhere decide, and raise, on the residuals
     themselves."""
-    if s._factors(cfg)[3].max() <= cfg.eq_abs_tol:
+    cfg = s.cfg
+    if s._factors()[3].max() <= cfg.eq_abs_tol:
         return
     rep = check_projector_identities(s, cfg)
     if not rep.passed:
@@ -255,17 +257,17 @@ def make_proper_splitting(a, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Pr
     u = as_matrix(u, readonly=True)
     if a.shape != u.shape:
         raise ShapeMismatchError(f"A has shape {a.shape} but U has shape {u.shape}")
-    s = ProperSplitting(a, u, as_matrix(u - a, readonly=True))
-    _require_proper(s, cfg)
+    s = ProperSplitting(a, u, as_matrix(u - a, readonly=True), cfg)
+    _require_proper(s)
     return s
 
 
 def classify_single(s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SplittingClass:
     """Strongest applicable tag from the sign tests on U^+, V and U^+ V."""
-    if is_nonneg(s.pinvs(cfg)[1], cfg):
+    if is_nonneg(s.pinvs()[1], cfg):
         if is_nonneg(s.v, cfg):
             return SplittingClass.PROPER_REGULAR
-        if is_nonneg(s.block(cfg), cfg):
+        if is_nonneg(s.block(), cfg):
             return SplittingClass.PROPER_WEAK_REGULAR
     return SplittingClass.PROPER_ONLY
 
@@ -282,13 +284,11 @@ class ProjectorIdentityReport:
 def check_projector_identities(
     s: ProperSplitting, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ProjectorIdentityReport:
-    """Both residuals for ``s.pinvs(cfg)``, the dense products formed on the
-    first request under each rank cutoff and kept.  Construction forms them
-    only where a bound of :func:`_residual_bounds` does not decide, and then
-    keeps them for this report."""
-    residuals = s._owned(
-        "residuals", cfg, lambda: (np.array(_projector_residuals(s, *s.pinvs(cfg))),)
-    )[0]
+    """Both residuals for ``s.pinvs()``, the dense products formed on the
+    first request and kept.  Construction forms them only where a bound of
+    :func:`_residual_bounds` does not decide, and then keeps them for this
+    report."""
+    residuals = s._owned("residuals", lambda: (np.array(_projector_residuals(s, *s.pinvs())),))[0]
     range_res, rowspace_res = map(float, residuals)
     passed = range_res <= cfg.eq_abs_tol and rowspace_res <= cfg.eq_abs_tol
     return ProjectorIdentityReport(range_res, rowspace_res, passed)
@@ -328,10 +328,10 @@ def check_semimonotone_equivalence(
         raise HypothesisUnmetError(
             "three-way equivalence requires a proper weak regular splitting"
         )
-    a_pinv = s.pinvs(cfg)[0]
+    a_pinv = s.pinvs()[0]
     cond_semi = is_nonneg(a_pinv, cfg)
     cond_av = is_nonneg(a_pinv @ s.v, cfg)
-    rho = s.radius(cfg)
+    rho = s.radius()
     cond_rho = rho < 1.0
     agree = cond_semi == cond_av == cond_rho
     return SemimonotoneEquivalenceReport(cls, cond_semi, cond_av, rho, cond_rho, agree)

@@ -182,11 +182,11 @@ class TestFallback:
 
     @staticmethod
     def _assert_restricted(d, cfg=ToleranceConfig()):
-        q = d.rowspace(cfg)
+        q = d.rowspace()
         assert 0 < q.shape[1] < q.shape[0]
         rep = check_convergence(d, cfg)
-        assert rep.rho_w == _restricted_eig(q, d.blocks(cfg))
-        assert rep.rho_induced == _restricted_eig(q, (d.block(cfg),))
+        assert rep.rho_w == _restricted_eig(q, d.blocks())
+        assert rep.rho_induced == _restricted_eig(q, (d.block(),))
 
     def test_proper_double_only_blocks(self):
         # R -> R - cP and S -> S - cP keep A and U^+V = P^+(R - S) and shift
@@ -220,7 +220,7 @@ class TestFallback:
         for blocks in ((pr / rho_w, ps / rho_w**2), (m / spectral_radius(m),)):
             lo, hi, _ = core._perron_bracket(blocks, core._bracket_budget(blocks, 50))
             assert lo <= 1.0 <= hi
-            radius = core._restricted_radius(q, blocks, ToleranceConfig())
+            radius = core._restricted_radius(q, blocks)
             assert radius == _restricted_eig(q, blocks)
             assert abs(radius - 1.0) <= 1e-12
 
@@ -230,9 +230,9 @@ class TestFallback:
         p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
         r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
         s = np.zeros((3, 2))
-        d = make_pds(p - r + s, p, r, s)
         coarse = ToleranceConfig(rank_rel_cutoff=1e-3)
-        assert d.rowspace(coarse).shape == (2, 1)
+        d = make_pds(p - r + s, p, r, s, coarse)
+        assert d.rowspace().shape == (2, 1)
         self._assert_restricted(d, coarse)
 
     def test_zero_rows_stop_the_bracket(self):

@@ -238,6 +238,24 @@ class TestSolve:
         assert main(["solve", "double", *paths, "--format", "json"]) == 0
         assert "iterates" not in json.loads(capsys.readouterr().out)
 
+    def test_overflow_writes_strict_json(self, ex2_files, tmp_path, capsys):
+        # a huge start overflows the first step: JSON writes the infinite
+        # residual and distance as null, the text report as Infinity
+        x0 = tmp_path / "x0.mat"
+        x0.write_text("3 1\n1e200\n1e200\n1e200\n", encoding="utf-8")
+        argv = ["solve", "double", *(ex2_files[k] for k in ("a", "p1", "r1", "s1", "b")),
+                "--x0", str(x0)]
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["final_step_residual"] is None and doc["distance_to_reference"] is None
+        assert doc["diverged"] is True
+        assert main(argv) == 0
+        assert "final step residual: Infinity" in capsys.readouterr().out.splitlines()
+
     def test_single_with_trace(self, tmp_path, capsys):
         files = {}
         for name, m in (("a", np.eye(1)), ("u", 2.0 * np.eye(1)), ("b", np.array([[1.0]]))):

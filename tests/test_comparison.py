@@ -9,6 +9,7 @@ from propersplit import (
     DifferentAError,
     NotInvertibleError,
     TheoremId,
+    check_convergence,
     compare,
     companion_from_blocks,
     eigenvalues,
@@ -16,7 +17,7 @@ from propersplit import (
     make_pds,
     spectral_radius,
 )
-from propersplit.generators import comparison_pair, regular_double
+from propersplit.generators import comparison_pair, regular_double, weak_regular_double
 
 
 def identity_pair(n=2):
@@ -168,7 +169,7 @@ class TestSquareCorollary:
         for theorem in TheoremId:
             d1, d2 = comparison_pair(rng, theorem, 6, 6, 6, cfg)
             for d in (d1, d2):
-                d.pinvs(cfg)  # the splittings' own factors, formed before counting
+                d.pinvs()  # the splittings' own factors, formed before counting
             assert count_svds(lambda: compare(theorem, d1, d2, cfg, square_corollary=True)) == 0
 
     def test_singular_rejected(self):
@@ -205,7 +206,7 @@ class TestReportMechanics:
         rng = default_rng(54)
         for _ in range(10):
             d = regular_double(rng, 4, 5, 2, rho=float(rng.uniform(0.3, 0.9)))
-            w = iteration_matrix(d, cfg)
+            w = iteration_matrix(d)
             spec = eigenvalues(w, cfg)
             x = spec.dominant_vector
             assert x is not None
@@ -241,8 +242,8 @@ class TestRestrictedRadii:
                 d1, d2 = comparison_pair(rng, theorem, m, n, rank, cfg)
                 rep = compare(theorem, d1, d2, cfg)
                 for rho, d in ((rep.rho1, d1), (rep.rho2, d2)):
-                    assert d.rowspace(cfg).shape[1] < n
-                    full = spectral_radius(iteration_matrix(d, cfg), cfg)
+                    assert d.rowspace().shape[1] < n
+                    full = spectral_radius(iteration_matrix(d), cfg)
                     assert abs(rho - full) <= 1e-12 * max(1.0, full)
 
     def test_full_rank_pairs_are_bit_identical(self, cfg):
@@ -250,8 +251,8 @@ class TestRestrictedRadii:
         for theorem in TheoremId:
             d1, d2 = comparison_pair(rng, theorem, 6, 4, 4, cfg)
             rep = compare(theorem, d1, d2, cfg)
-            assert rep.rho1 == spectral_radius(iteration_matrix(d1, cfg), cfg)
-            assert rep.rho2 == spectral_radius(iteration_matrix(d2, cfg), cfg)
+            assert rep.rho1 == spectral_radius(iteration_matrix(d1), cfg)
+            assert rep.rho2 == spectral_radius(iteration_matrix(d2), cfg)
 
     def test_square_corollary_radii_equal_plain_mode(self, cfg):
         # square mode reads the splittings' own factors, so its radii are
@@ -268,3 +269,52 @@ class TestRestrictedRadii:
                     p_inv = np.linalg.inv(d.p)
                     lu = spectral_radius(companion_from_blocks(p_inv @ d.r, p_inv @ d.s), cfg)
                     assert abs(rho - lu) <= 1e-12 * lu
+
+
+def _permuted(rng, *ds):
+    """Each splitting of ``ds`` remade with one row and one column permutation,
+    drawn once, applied to A, P, R and S alike."""
+    m, n = ds[0].a.shape
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    return [make_pds(*(x[rows][:, cols] for x in (d.a, d.p, d.r, d.s))) for d in ds]
+
+
+def _close_radii(x, y):
+    return abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+
+
+def _same_convergence(d, e):
+    got, want = check_convergence(e), check_convergence(d)
+    assert got.splitting_class is want.splitting_class
+    for name in ("semi_monotone", "biconditional_agrees", "guaranteed_convergent", "converges"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert _close_radii(got.rho_w, want.rho_w) and _close_radii(got.rho_induced, want.rho_induced)
+
+
+def test_verdicts_do_not_depend_on_row_or_column_order():
+    # ROADMAP item 12, permutation half: permuting the rows and the columns of
+    # all four matrices alike permutes every factor, so no verdict may move
+    rng = default_rng(60)
+    shapes = ((6, 5, 3), (8, 6, 3), (12, 10, 5))
+    for theorem in TheoremId:
+        for m, n, rank in shapes:
+            for _ in range(5):
+                pair = comparison_pair(rng, theorem, m, n, rank)
+                moved = _permuted(rng, *pair)
+                got, want = compare(theorem, *moved), compare(theorem, *pair)
+                assert [(v.label, v.passed) for v in got.hypothesis_verdicts] == [
+                    (v.label, v.passed) for v in want.hypothesis_verdicts
+                ]
+                assert got.branch_used is want.branch_used
+                assert got.conclusion_predicted == want.conclusion_predicted
+                assert got.conclusion_observed == want.conclusion_observed
+                assert _close_radii(got.rho1, want.rho1) and _close_radii(got.rho2, want.rho2)
+                for d, e in zip(pair, moved):
+                    _same_convergence(d, e)
+    for m, n, rank in shapes:
+        for rho in (0.5, 0.99, 1.05) * 3:
+            for d in (
+                weak_regular_double(rng, m, n, rank, rho=rho, nullspace_mix=0.3),
+                regular_double(rng, m, n, rank, rho=rho),
+            ):
+                _same_convergence(d, *_permuted(rng, d))

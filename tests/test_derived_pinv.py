@@ -59,7 +59,7 @@ def _gate(a, u, cfg=DEFAULT_TOLERANCES):
     except NotProperError as exc:
         return exc.range_residual, exc.nullspace_residual
     want = pinv(a, cfg)
-    assert max_abs_diff(s.pinvs(cfg)[0], want) <= 1e-12 * np.max(np.abs(want))
+    assert max_abs_diff(s.pinvs()[0], want) <= 1e-12 * np.max(np.abs(want))
     return None
 
 
@@ -135,7 +135,7 @@ class TestFullRowRank:
         u = np.array([[3.0, 1.0], [0.0, 2.0]])
         s = make_proper_splitting(a, u)
         assert pinv_calls == []
-        assert np.array_equal(s.pinvs()[0], s._from_u_svd(DEFAULT_TOLERANCES)[0])
+        assert np.array_equal(s.pinvs()[0], s._from_u_svd()[0])
         assert max_abs_diff(s.pinvs()[0], np.linalg.inv(a)) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
@@ -155,8 +155,8 @@ class TestFullRowRank:
     def test_rank_deficient_u_still_takes_the_range_test(self):
         # r = 1 < m = 2: the derived A^+ = diag(1, 0) is refused
         a_pinv, _, _, bounds = ProperSplitting(
-            np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, -1.0])
-        )._from_u_svd(DEFAULT_TOLERANCES)
+            np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, -1.0]), DEFAULT_TOLERANCES
+        )._from_u_svd()
         assert a_pinv is None and bounds is None
 
 
@@ -260,14 +260,14 @@ class TestGateMatchesSvdGate:
             pairs += [(a2, u2) for name, a2, u2 in _perturbed(a, u, 1e-7) if name == "rank drop"]
         for a, u in pairs:
             assert _svd_gate(a, u, cfg) is None
-            assert np.array_equal(make_proper_splitting(a, u, cfg).pinvs(cfg)[0], pinv(a, cfg))
+            assert np.array_equal(make_proper_splitting(a, u, cfg).pinvs()[0], pinv(a, cfg))
 
 
 class TestOtherCutoff:
-    """A rank cutoff other than construction's, under which U's rank drops
-    and A's does not: the A^+ derived from U's SVD would be diag(1, 0), so
-    the splitting takes A's own, diag(1, 5000), as it does under any cutoff
-    where the derived one fails its check."""
+    """A rank cutoff other than the default, under which U's rank drops and
+    A's does not: the pair, proper under the default cutoff with A's own
+    A^+ = diag(1, 5000), is not proper under this one, and construction
+    under it refuses the pair."""
 
     a = np.diag([1.0, 2e-4])
     u = np.diag([1.0, 1e-5])
@@ -276,17 +276,17 @@ class TestOtherCutoff:
     def test_single(self):
         s = make_proper_splitting(self.a, self.u)
         assert max_abs_diff(s.pinvs()[0], np.diag([1.0, 5000.0])) <= 1e-12 * 5000
-        a_pinv, u_pinv = s.pinvs(self.cfg)
-        assert np.array_equal(a_pinv, pinv(self.a, self.cfg))
-        assert np.array_equal(u_pinv, pinv(self.u, self.cfg))
-        rep = check_projector_identities(s, self.cfg)
-        assert (rep.range_residual, rep.rowspace_residual, rep.passed) == (1.0, 1.0, False)
+        with pytest.raises(NotProperError) as exc:
+            make_proper_splitting(self.a, self.u, self.cfg)
+        assert (exc.value.range_residual, exc.value.nullspace_residual) == (1.0, 1.0)
 
     def test_double(self):
         d = make_pds(self.a, self.u, self.u - self.a, np.zeros((2, 2)))
         b = np.array([1.0, 1e-3])
         trace = solve_double(d, b, cfg=self.cfg)
-        assert np.array_equal(trace.reference_solution, pinv(self.a, self.cfg) @ b)
+        assert np.array_equal(trace.reference_solution, d.pinvs()[0] @ b)
+        with pytest.raises(NotProperError):
+            make_pds(self.a, self.u, self.u - self.a, np.zeros((2, 2)), self.cfg)
 
 
 def _dense_rule(a, u, cfg, v=None):
@@ -294,8 +294,8 @@ def _dense_rule(a, u, cfg, v=None):
     reference every decision of the bounds must match: ``(kept A^+,
     residuals, proper)``.  V is ``U - A`` unless given (a double splitting's
     ``R - S``)."""
-    s = ProperSplitting(a, u, u - a if v is None else v)
-    a_pinv, u_pinv = s._from_u_svd(cfg)[:2]
+    s = ProperSplitting(a, u, u - a if v is None else v, cfg)
+    a_pinv, u_pinv = s._from_u_svd()[:2]
     if a_pinv is not None:
         res = _projector_residuals(s, a_pinv, u_pinv)
     if a_pinv is None or max(res) > 1e-10:
@@ -347,8 +347,8 @@ class TestResidualBounds:
         # residual, the rounding allowance being part of the bound
         seen = 0
         for a, u in _gate_pairs(bundled):
-            s = ProperSplitting(a, u, u - a)
-            a_pinv, u_pinv, _, bounds = s._from_u_svd(DEFAULT_TOLERANCES)
+            s = ProperSplitting(a, u, u - a, DEFAULT_TOLERANCES)
+            a_pinv, u_pinv, _, bounds = s._from_u_svd()
             if a_pinv is None:
                 continue
             seen += 1
@@ -380,8 +380,8 @@ class TestResidualBounds:
         # the gate decides these without a dense product: their bounds clear
         # 1e-10, are the ones construction kept, and cover the dense residuals
         for d in GATE_DOUBLES:
-            bounds = d._from_u_svd(DEFAULT_TOLERANCES)[3]
-            assert np.array_equal(d._factors(DEFAULT_TOLERANCES)[3], bounds)
+            bounds = d._from_u_svd()[3]
+            assert np.array_equal(d._factors()[3], bounds)
             rep = check_projector_identities(d)
             assert bounds.max() <= 1e-10
             assert bounds[0] >= rep.range_residual and bounds[1] >= rep.rowspace_residual
@@ -401,7 +401,7 @@ class TestResidualBounds:
                 assert (exc.range_residual, exc.nullspace_residual) == want_res
                 continue
             assert want_proper
-            assert np.array_equal(s.pinvs(cfg)[0], want_pinv)
+            assert np.array_equal(s.pinvs()[0], want_pinv)
             rep = check_projector_identities(s, cfg)
             assert (rep.range_residual, rep.rowspace_residual, rep.passed) == (*want_res, True)
         for d in GATE_DOUBLES:
@@ -413,7 +413,7 @@ class TestResidualBounds:
                 assert (exc.range_residual, exc.nullspace_residual) == want_res
                 continue
             assert want_proper
-            assert np.array_equal(got.pinvs(cfg)[0], want_pinv)
+            assert np.array_equal(got.pinvs()[0], want_pinv)
         assert decided == {True, False}
 
     def test_eq_abs_tol_below_rounding_rejects_on_the_dense_residuals(self):

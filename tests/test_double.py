@@ -1,5 +1,6 @@
 """Tests for proper double splittings and the companion iteration matrix."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -32,6 +33,7 @@ from propersplit import (
     max_abs_diff,
     pinv,
     read_matrix,
+    sign_residuals,
     solve_double,
     solve_single,
     spectral_radius,
@@ -177,8 +179,8 @@ class TestCheckConvergence:
         # away from 1: inside the band the verdicts count as consistent
         cfg = ToleranceConfig(spectral_tol=1e-6)
         radii = {2: 1.0 - gap * cfg.spectral_tol, 1: 1.0 + gap * cfg.spectral_tol}
-        monkeypatch.setattr(ProperDoubleSplitting, "companion_radius", lambda d, c: radii[2])
-        monkeypatch.setattr(ProperSplitting, "radius", lambda s, c: radii[1])
+        monkeypatch.setattr(ProperDoubleSplitting, "companion_radius", lambda d: radii[2])
+        monkeypatch.setattr(ProperSplitting, "radius", lambda s: radii[1])
         rep = check_convergence(identity_pds(), cfg)
         assert rep.splitting_class is DoubleSplittingClass.REGULAR
         assert (rep.rho_w, rep.rho_induced) == (radii[2], radii[1])
@@ -310,10 +312,10 @@ class TestOwnedPseudoinverses:
         p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
         r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
         s = np.zeros((3, 2))
-        d = make_pds(p - r + s, p, r, s)
-        default = check_convergence(d)
+        default = check_convergence(make_pds(p - r + s, p, r, s))
 
         cfg = ToleranceConfig(rank_rel_cutoff=1e-3)
+        d = make_pds(p - r + s, p, r, s, cfg)
         p_pinv = pinv(d.p, cfg)
         w = companion_from_blocks(p_pinv @ d.r, p_pinv @ d.s)
         expected = ConvergenceReport(
@@ -326,9 +328,9 @@ class TestOwnedPseudoinverses:
             converges=True,
         )
         assert check_convergence(d, cfg) == expected
-        assert np.array_equal(iteration_matrix(d, cfg), w)
+        assert np.array_equal(iteration_matrix(d), w)
         assert expected.rho_w != default.rho_w
-        assert check_convergence(d) == default  # the construction-time pair is kept
+        assert check_convergence(d) == expected  # the splitting keeps its own cutoff
 
     def test_blocks_are_read_only(self):
         d = weak_regular_double(default_rng(17), 6, 5, 3, rho=0.8)
@@ -363,16 +365,15 @@ class TestOwnedPseudoinverses:
         p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
         r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
         s = np.array([[-0.1, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        d = make_pds(p - r + s, p, r, s)
-        default_blocks = d.blocks()
+        default_blocks = make_pds(p - r + s, p, r, s).blocks()
         cfg = ToleranceConfig(rank_rel_cutoff=1e-3)
+        d = make_pds(p - r + s, p, r, s, cfg)
         p_pinv = pinv(d.p, cfg)
-        pr, ps = d.blocks(cfg)
-        assert pr is not default_blocks[0] and ps is not default_blocks[1]
+        pr, ps = d.blocks()
         assert np.array_equal(pr, p_pinv @ d.r) and np.array_equal(ps, p_pinv @ d.s)
         assert not np.array_equal(pr, default_blocks[0])
-        assert np.array_equal(d.block(cfg), p_pinv @ (d.r - d.s))
-        assert d.blocks()[0] is default_blocks[0]  # the default-cutoff blocks are kept
+        assert np.array_equal(d.block(), p_pinv @ (d.r - d.s))
+        assert d.blocks()[0] is pr  # the blocks are kept
 
     def test_rowspace_is_read_only_and_shared_with_the_induced_splitting(self):
         d = weak_regular_double(default_rng(20), 6, 5, 3, rho=0.8, nullspace_mix=0.3)
@@ -400,13 +401,48 @@ class TestOwnedPseudoinverses:
         p = np.array([[1.0, 0.0], [0.0, 1e-5], [0.0, 0.0]])
         r = np.array([[0.5, 0.0], [0.0, 0.9e-5], [0.0, 0.0]])
         s = np.zeros((3, 2))
-        d = make_pds(p - r + s, p, r, s)
-        default = d.rowspace()
-        coarse = d.rowspace(ToleranceConfig(rank_rel_cutoff=1e-3))
+        default = make_pds(p - r + s, p, r, s).rowspace()
+        d = make_pds(p - r + s, p, r, s, ToleranceConfig(rank_rel_cutoff=1e-3))
+        coarse = d.rowspace()
         assert default.shape == (2, 2) and coarse.shape == (2, 1)
         assert np.array_equal(np.abs(coarse), [[1.0], [0.0]])
         assert not coarse.flags.writeable
-        assert d.rowspace() is default and default.shape == (2, 2)
+        assert d.rowspace() is coarse
+
+
+class TestOneCutoff:
+    """A splitting keeps the config it was made under: its factors take no
+    cutoff, and a later config's cutoff changes none of them."""
+
+    # proper under the default cutoff; under 1e-4 P's rank drops and A's does not
+    a = np.diag([1.0, 2e-4])
+    p = np.diag([1.0, 1e-5])
+    cfg = ToleranceConfig(rank_rel_cutoff=1e-4)
+
+    def _made(self):
+        return make_pds(self.a, self.p, self.p - self.a, np.zeros((2, 2)))
+
+    def test_factors_take_no_cutoff(self):
+        for cls in (ProperSplitting, ProperDoubleSplitting):
+            for name in ("pinvs", "rowspace", "block", "radius"):
+                assert list(inspect.signature(getattr(cls, name)).parameters) == ["self"]
+        for name in ("blocks", "companion_radius"):
+            params = inspect.signature(getattr(ProperDoubleSplitting, name)).parameters
+            assert list(params) == ["self"]
+        for fn in (sign_residuals, iteration_matrix):
+            assert list(inspect.signature(fn).parameters) == ["d"]
+
+    def test_a_later_cutoff_reads_the_made_factors(self, count_svds):
+        d = self._made()
+        b = np.array([1.0, 1e-3])
+        assert count_svds(lambda: check_convergence(d, self.cfg)) == 0
+        assert count_svds(lambda: solve_double(d, b, cfg=self.cfg)) == 0
+        assert check_convergence(d, self.cfg) == check_convergence(d)
+        assert all(isinstance(key, str) for key in d._memo)
+
+    def test_that_cutoff_refuses_the_pair(self):
+        with pytest.raises(NotProperError):
+            make_pds(self.a, self.p, self.p - self.a, np.zeros((2, 2)), self.cfg)
 
 
 def _radius_cases():

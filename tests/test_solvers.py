@@ -404,8 +404,8 @@ def _reference_iterate(update, start, reference, need_small, x0_flag, cfg) -> It
 def _reference_solve_single(s, b, x0, cfg):
     """The reference loop on the recursion ``x_{i+1} = U^+V x_i + U^+b``."""
     x = np.zeros(s.a.shape[1]) if x0 is None else np.array(x0, dtype=float)
-    a_pinv, u_pinv = s.pinvs(cfg)
-    h = s.block(cfg)
+    a_pinv, u_pinv = s.pinvs()
+    h = s.block()
     c = u_pinv @ b
     x0_flag = _reference_in_nullspace(s.v, x, cfg)
     return _reference_iterate(lambda xs: h @ xs[-1] + c, [x], a_pinv @ b, 1, x0_flag, cfg)
@@ -416,8 +416,8 @@ def _reference_solve_double(d, b, x0, x1, cfg):
     n = d.a.shape[1]
     x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     x_curr = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
-    a_pinv, p_pinv = d.pinvs(cfg)
-    pr, ps = d.blocks(cfg)
+    a_pinv, p_pinv = d.pinvs()
+    pr, ps = d.blocks()
     pb = p_pinv @ b
     x0_flag = _reference_in_nullspace(d.v, x_prev, cfg)
     return _reference_iterate(
@@ -597,7 +597,7 @@ def _rules_match(solve, split, b, starts, cfg):
     stop = rules[got.iterations_used]
     want = _reference_on_rules(split, starts[0], rules, len(starts), stop, cfg)
     assert _rule_bits(got) == _rule_bits(want)
-    a_pinv, u_pinv = split.pinvs(cfg)
+    a_pinv, u_pinv = split.pinvs()
     reference = a_pinv @ b
     near = got.distance_to_reference <= 10.0 * cfg.solve_tol * (1.0 + np.linalg.norm(reference))
     assert got.converged == (want.converged and near)
@@ -605,7 +605,7 @@ def _rules_match(solve, split, b, starts, cfg):
     assert len(got.iterates) == got.iterations_used + len(starts)
     assert got.limit is got.iterates[-1]
     if np.isfinite(got.limit).all():
-        basis = split.rowspace(cfg)
+        basis = split.rowspace()
         bound = 1e-13 * sum(np.linalg.norm(x) for x in (got.limit, reference, u_pinv @ b))
         assert np.linalg.norm(got.limit - basis @ stop[: basis.shape[1]]) <= bound
     return got
@@ -1069,14 +1069,14 @@ def _follows_recursion(split, b, starts, cfg):
     if isinstance(split, ProperDoubleSplitting):
         got, _, rows = _replayed(solve_double, split, b, *starts, cfg=cfg)
         want = _reference_solve_double(split, b, *starts, cfg)
-        blocks = split.blocks(cfg)
+        blocks = split.blocks()
         signs = (1.0, -1.0)
     else:
         got, _, rows = _replayed(solve_single, split, b, starts[0], cfg=cfg)
         want = _reference_solve_single(split, b, starts[0], cfg)
-        blocks = (split.block(cfg),)
+        blocks = (split.block(),)
         signs = (1.0,)
-    c = split.pinvs(cfg)[1] @ b
+    c = split.pinvs()[1] @ b
     scales = [np.linalg.norm(block, 2) for block in blocks]
     h = len(blocks)
     xs = got.iterates[:h] + rows
